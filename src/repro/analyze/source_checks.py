@@ -3,11 +3,12 @@
 The model-level analyses (:mod:`~repro.analyze.bounds`,
 :mod:`~repro.analyze.races`) prove properties of what the emitter is
 *supposed* to generate.  This module closes the loop on what it
-*actually* generated: it parses the emitted source and verifies
+*actually* generated: it parses the emitted source with the executable
+spec's front end (:mod:`repro.spec.cparse`) and verifies
 
-* the ``#define`` table matches the parameter vector
-  (``source.define-mismatch``) and the metadata header round-trips
-  (``source.meta-mismatch``),
+* the metadata header round-trips (``source.meta-mismatch``) and the
+  ``#define`` table matches the parameter vector
+  (``source.define-mismatch``),
 * every ``__local`` declaration has the extent the model expects
   (``source.local-decl``),
 * every local/private array subscript stays inside its *declared*
@@ -17,24 +18,26 @@ The model-level analyses (:mod:`~repro.analyze.bounds`,
 * barriers are work-group-uniform — no ``barrier()`` under control flow
   that depends on ``get_local_id``/derived values
   (``barrier.divergent``) — and at least as many barriers exist as the
-  schedule requires (``source.barrier-count``).
+  schedule requires (``source.barrier-count``),
+* the text parses, and every checked subscript is an integer expression
+  over loop counters, ``const int`` bindings, the problem size and the
+  ``get_local_id``/``get_group_id`` intrinsics (``source.parse``);
+  ``/`` and ``%`` truncate toward zero, as in C.
 
-The evaluator understands exactly the C subset the emitter produces:
-integer expressions over defines, loop counters, ``const int``
-assignments and the ``get_local_id``/``get_group_id`` intrinsics
-(bound to a concrete admissible problem size).  Corner sampling is what
-makes the check effective: index extremes of non-negative linear forms
-are attained at range ends, so a reintroduced off-by-a-tile bug (e.g.
-dropping the DB half-buffer rebase) is caught deterministically, with
-the offending counter values as the witness.
+Corner sampling is what makes the check effective: index extremes of
+non-negative linear forms are attained at range ends, so a reintroduced
+off-by-a-tile bug (e.g. dropping the DB half-buffer rebase) is caught
+deterministically, with the offending counter values as the witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analyze.diagnostics import Diagnostic, Severity
 from repro.analyze.sites import KernelModel, build_model
@@ -58,37 +61,88 @@ SOURCE_RULES: Dict[str, Tuple[str, str]] = {
         "III-E", "the body contains the barriers its schedule requires"),
     "barrier.divergent": (
         "III-E", "no barrier is reachable by only a subset of work-items"),
+    "source.parse": (
+        "", "the text parses and every checked subscript is an integer "
+            "expression"),
 }
 
 _RANDOM_SEED = 0xA11A
 _MAX_CORNER_VARS = 8  # 2^8 corner assignments, then random samples
 
-_FOR_RE = re.compile(
-    r"^for \(int (\w+) = (.+?); \w+ < (.+?); (?:\+\+\w+|\w+ \+= (.+?))\)\s*$"
-)
-_ASSIGN_RE = re.compile(r"^const int (\w+) = (.+);$")
-_DEFINE_RE = re.compile(r"^#define (\w+) (-?\d+)\b")
-_DECL_RE = re.compile(r"^(?:__local )?\w+ (\w+)\[([^\]]+)\];$")
-_VLOADSTORE_RE = re.compile(r"\bv(?:load|store)(\d+)\(")
-
-#: names whose value differs between work-items of one group
-_TAINT_ROOTS = ("glid0", "glid1", "get_global_id")
+#: calls whose value differs between work-items of one group
+_TAINT_CALLS = ("get_local_id", "get_global_id")
+#: work-item intrinsics -> the evaluator's variable prefix (glid0, ggid1, ..)
+_INTRINSICS = {"get_local_id": "glid", "get_group_id": "ggid"}
+_INT_TYPES = ("int", "uint", "size_t", "long", "ulong")
 
 
-def _strip_comments(source: str) -> str:
-    """Blank out comments, preserving line structure."""
-    source = re.sub(r"/\*.*?\*/", lambda m: re.sub(r"[^\n]", " ", m.group()),
-                    source, flags=re.S)
-    return re.sub(r"//[^\n]*", "", source)
+class _Unevaluable(ValueError):
+    """An expression outside the integer subset the evaluator handles."""
 
 
-def _translate(expr: str) -> str:
-    """C index expression -> evaluable Python (integer semantics)."""
-    e = expr.replace("get_local_id(0)", "glid0")
-    e = e.replace("get_local_id(1)", "glid1")
-    e = e.replace("get_group_id(0)", "ggid0")
-    e = e.replace("get_group_id(1)", "ggid1")
-    return e.replace("/", "//")
+def _c_div(a: int, b: int) -> int:
+    """C integer division: the quotient truncates toward zero."""
+    if b == 0:
+        raise _Unevaluable("division by zero")
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": lambda a, b: a - b * _c_div(a, b),
+    "<": operator.lt, ">": operator.gt, "<=": operator.le,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+    "&&": lambda a, b: bool(a and b), "||": lambda a, b: bool(a or b),
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+}
+_UNARY = {"-": operator.neg, "~": operator.invert, "!": operator.not_}
+
+
+def _kind(node) -> str:
+    return type(node).__name__
+
+
+def _nodes(node):
+    """Pre-order walk over an AST node and everything under it."""
+    yield node
+    for value in vars(node).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if hasattr(child, "__dataclass_fields__"):
+                yield from _nodes(child)
+
+
+def _closure(node) -> Callable[[Dict[str, int]], int]:
+    """An integer expression -> a closure evaluating it with C semantics.
+
+    Anything outside the subset (floats, unknown calls, unbound names)
+    becomes a lookup that raises when evaluated.
+    """
+    kind = _kind(node)
+    if kind == "Num" and not node.is_float:
+        return lambda env, value=node.value: value
+    if kind == "Bin" and node.op in _BINARY:
+        fn, left, right = _BINARY[node.op], _closure(node.left), _closure(node.right)
+        return lambda env: fn(left(env), right(env))
+    if kind == "Un" and node.op in _UNARY:
+        fn, operand = _UNARY[node.op], _closure(node.operand)
+        return lambda env: fn(operand(env))
+    if kind == "Cond":
+        cond, then, other = map(_closure, (node.cond, node.then, node.other))
+        return lambda env: then(env) if cond(env) else other(env)
+    if kind == "Construct" and node.ctype in _INT_TYPES and len(node.args) == 1:
+        return _closure(node.args[0])
+    name = node.name if kind == "Var" else None
+    if (kind == "Call" and node.name in _INTRINSICS
+            and [_kind(a) for a in node.args] == ["Num"]):
+        name = f"{_INTRINSICS[node.name]}{node.args[0].value}"
+    what = getattr(node, "name", kind)
+
+    def lookup(env: Dict[str, int]) -> int:
+        if name in env:
+            return env[name]
+        raise _Unevaluable(f"no integer value for {what}")
+    return lookup
 
 
 def _expected_defines(p: KernelParams) -> Dict[str, int]:
@@ -103,34 +157,30 @@ def _expected_defines(p: KernelParams) -> Dict[str, int]:
     }
 
 
+def _parse_error(line: Optional[int], message: str, **witness) -> Diagnostic:
+    return Diagnostic(
+        "source.parse", Severity.ERROR, message,
+        witness={"line": line, "error": message, **witness},
+        paper=SOURCE_RULES["source.parse"][0])
+
+
+@dataclass
 class _Frame:
-    """One brace-delimited scope in the line walker."""
+    """One scope of the walk: its loop, divergence and ``const int``s."""
 
-    __slots__ = ("loop", "cond_tainted", "assigns")
-
-    def __init__(self, loop=None, cond_tainted: bool = False) -> None:
-        self.loop = loop  # (var, start_code, end_code, step_code) or None
-        self.cond_tainted = cond_tainted
-        self.assigns: List[Tuple[str, object]] = []  # (name, code object)
-
-
-def _extract_index(line: str, start: int) -> Optional[str]:
-    """The balanced ``[...]`` contents starting at ``line[start] == '['``."""
-    depth = 0
-    for i in range(start, len(line)):
-        if line[i] == "[":
-            depth += 1
-        elif line[i] == "]":
-            depth -= 1
-            if depth == 0:
-                return line[start + 1:i]
-    return None
+    loop: Optional[tuple] = None  # (var, start, stop, step closures)
+    divergent: bool = False
+    bindings: List[tuple] = field(default_factory=list)  # (name, closure)
 
 
 def check_source(params: KernelParams, source: str,
                  model: Optional[KernelModel] = None,
                  samples: int = 64) -> List[Diagnostic]:
     """All source-level findings for one emitted kernel."""
+    # Imported here: the spec package is not needed by the search gate
+    # or Program.build, which import this module through the verifier.
+    from repro.spec.cparse import SpecParseError, parse_kernel_source
+
     p = params
     model = model or build_model(p)
     diags: List[Diagnostic] = []
@@ -149,15 +199,17 @@ def check_source(params: KernelParams, source: str,
             "source.meta-mismatch", Severity.ERROR, str(exc),
             witness={"error": str(exc)}))
 
-    text = _strip_comments(source)
-    lines = text.splitlines()
+    try:
+        unit = parse_kernel_source(source)
+    except SpecParseError as exc:
+        return diags + [_parse_error(exc.line, str(exc))]
 
-    # -- #define table --------------------------------------------------
+    # -- #define table: object-like macros with an integer body ----------
     defines: Dict[str, int] = {}
-    for ln in lines:
-        m = _DEFINE_RE.match(ln.strip())
-        if m:
-            defines[m.group(1)] = int(m.group(2))
+    for name, macro in unit.macros.items():
+        text = "".join(t.text for t in macro.body)
+        if macro.params is None and text.removeprefix("-").isdigit():
+            defines[name] = int(text)
     for name, want in _expected_defines(p).items():
         got = defines.get(name)
         if got != want:
@@ -167,48 +219,40 @@ def check_source(params: KernelParams, source: str,
                 witness={"define": name, "found": got, "expected": want},
                 paper=SOURCE_RULES["source.define-mismatch"][0]))
 
-    # A concrete admissible problem for bounded evaluation.
+    # A concrete admissible problem for bounded evaluation (the defines
+    # need no binding: the parser has already expanded them).
     sizes = {
         "kSizeM": 2 * p.mwg,
         "kSizeN": 2 * p.nwg,
         "kSizeK": (p.algorithm.min_k_iterations + 1) * p.kwg,
     }
-    consts = {**defines, **sizes}
-
-    def c_eval(code, env: Dict[str, int]) -> int:
-        return eval(code, {"__builtins__": {}}, env)  # noqa: S307
-
-    code_cache: Dict[str, object] = {}
-
-    def compile_expr(expr: str):
-        code = code_cache.get(expr)
-        if code is None:
-            code = compile(_translate(expr), "<kernel>", "eval")
-            code_cache[expr] = code
-        return code
+    nodes = [n for k in unit.kernels.values() for n in _nodes(k.body)]
+    source_lines = source.splitlines()
 
     # -- declarations ----------------------------------------------------
     declared: Dict[str, int] = {}
     expected_extents = {**model.local_extents, **model.private_extents}
-    for ln in lines:
-        m = _DECL_RE.match(ln.strip())
-        if not m or m.group(1) not in expected_extents:
-            continue
-        name = m.group(1)
+    decls = [n for n in nodes
+             if _kind(n) == "DeclArray" and n.name in expected_extents]
+    for decl in decls:
+        name = decl.name
         try:
-            declared[name] = c_eval(compile_expr(m.group(2)), dict(consts))
-        except Exception:  # repro: allow(host.except.swallow) best-effort eval of foreign kernel text
+            declared[name] = int(_closure(decl.size)(sizes))
+        except _Unevaluable as exc:
+            diags.append(_parse_error(
+                decl.line, f"line {decl.line}: cannot evaluate the extent "
+                f"of {name}: {exc}", buffer=name))
             continue
         if declared[name] != expected_extents[name]:
             diags.append(Diagnostic(
                 "source.local-decl", Severity.ERROR,
-                f"declaration {name}[{m.group(2).strip()}] has extent "
+                f"{source_lines[decl.line - 1].strip()} has extent "
                 f"{declared[name]}, model expects {expected_extents[name]}",
                 witness={"buffer": name, "declared": declared[name],
                          "expected": expected_extents[name]},
                 paper=SOURCE_RULES["source.local-decl"][0]))
     for name in expected_extents:
-        if name not in declared:
+        if all(d.name != name for d in decls):
             diags.append(Diagnostic(
                 "source.local-decl", Severity.ERROR,
                 f"expected declaration of {name} not found in source",
@@ -216,7 +260,7 @@ def check_source(params: KernelParams, source: str,
                 paper=SOURCE_RULES["source.local-decl"][0]))
 
     # -- barrier count ---------------------------------------------------
-    nbar = text.count("barrier(CLK_LOCAL_MEM_FENCE)")
+    nbar = sum(_kind(n) == "Barrier" for n in nodes)
     if nbar < model.barrier_count:
         diags.append(Diagnostic(
             "source.barrier-count", Severity.ERROR,
@@ -227,26 +271,24 @@ def check_source(params: KernelParams, source: str,
 
     # -- scoped walk: divergent barriers + index sampling ----------------
     rng = random.Random(_RANDOM_SEED)
-    tainted = set(_TAINT_ROOTS)
-    stack: List[_Frame] = [_Frame()]
-    access_re = {
-        name: re.compile(rf"(?:(&)\s*)?\b{name}\[")
-        for name in expected_extents
+    extents = {**expected_extents, **declared}
+    base_ranges = {
+        "glid0": p.mdimc - 1, "glid1": p.ndimc - 1,
+        "ggid0": sizes["kSizeM"] // p.mwg - 1,
+        "ggid1": sizes["kSizeN"] // p.nwg - 1,
     }
-    flagged: set = set()
+    stack: List[_Frame] = []
+    tainted: Set[str] = set()
+    flagged: Set[Tuple[str, int]] = set()
 
-    def sample_once(corner_bits: Optional[int], var_order: List[str]) -> Optional[Dict[str, int]]:
+    def is_tainted(*exprs) -> bool:
+        return any((_kind(n) == "Var" and n.name in tainted)
+                   or (_kind(n) == "Call" and n.name in _TAINT_CALLS)
+                   for e in exprs for n in _nodes(e))
+
+    def sample_once(corner_bits: Optional[int],
+                    var_order: List[str]) -> Optional[Dict[str, int]]:
         """One assignment over the current scope; None if a loop is empty."""
-        env: Dict[str, int] = dict(consts)
-        env["glid0"] = 0
-        env["glid1"] = 0
-        env["ggid0"] = 0
-        env["ggid1"] = 0
-        base_ranges = {
-            "glid0": p.mdimc - 1, "glid1": p.ndimc - 1,
-            "ggid0": sizes["kSizeM"] // p.mwg - 1,
-            "ggid1": sizes["kSizeN"] // p.nwg - 1,
-        }
 
         def pick(var: str, lo: int, hi: int) -> int:
             if hi <= lo:
@@ -255,123 +297,111 @@ def check_source(params: KernelParams, source: str,
                 return rng.randint(lo, hi)
             return hi if (corner_bits >> var_order.index(var)) & 1 else lo
 
+        env = dict(sizes)
         for var, hi in base_ranges.items():
             env[var] = pick(var, 0, hi)
         for frame in stack:
             if frame.loop is not None:
-                var, start_c, end_c, step_c = frame.loop
-                start = c_eval(start_c, env)
-                end = c_eval(end_c, env)
-                step = c_eval(step_c, env)
-                if start >= end or step <= 0:
+                var, start, stop, step = frame.loop
+                lo, hi, inc = start(env), stop(env), step(env)
+                if lo >= hi or inc <= 0:
                     return None
-                values = range(start, end, step)
+                values = range(lo, hi, inc)
                 if corner_bits is None:
                     env[var] = values[rng.randrange(len(values))]
                 else:
                     env[var] = pick(var, values[0], values[-1])
-            for name, code in frame.assigns:
-                env[name] = c_eval(code, env)
+            for name, init in frame.bindings:
+                env[name] = init(env)
         return env
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        while line.startswith("}"):
-            if len(stack) > 1:
-                stack.pop()
-            line = line[1:].strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.endswith("{"):
-            header = line[:-1].strip()
-            m = _FOR_RE.match(header)
-            if m:
-                var, start, end, step = m.group(1), m.group(2), m.group(3), m.group(4)
-                loop = (var, compile_expr(start), compile_expr(end),
-                        compile_expr(step or "1"))
-                body_tainted = any(
-                    re.search(rf"\b{t}\b", _translate(header)) for t in tainted)
-                stack.append(_Frame(loop=loop, cond_tainted=body_tainted))
-            else:
-                cond_tainted = header.startswith("if") and any(
-                    re.search(rf"\b{t}\b", _translate(header)) for t in tainted)
-                stack.append(_Frame(cond_tainted=cond_tainted))
-            continue
-
-        m = _ASSIGN_RE.match(line)
-        if m:
-            name, expr = m.group(1), m.group(2)
-            texpr = _translate(expr)
+    def check_site(site, line: int, pad: int) -> bool:
+        """Bounded evaluation of one subscript; True if it is a finding."""
+        name, index, index_of = site.base, site.text, _closure(site.index)
+        extent = extents[name]
+        var_order = list(base_ranges) + [
+            f.loop[0] for f in stack if f.loop is not None]
+        ncorner = 2 ** min(len(var_order), _MAX_CORNER_VARS)
+        trials = itertools.chain(range(ncorner), itertools.repeat(None, samples))
+        for corner in trials:
             try:
-                code = compile_expr(expr)
-            except SyntaxError:
+                env = sample_once(corner, var_order)
+                if env is None:
+                    continue
+                value = int(index_of(env))
+            except _Unevaluable as exc:
+                diags.append(_parse_error(
+                    line, f"line {line}: cannot evaluate {name}[{index}]: "
+                    f"{exc}", buffer=name, index=index))
+                return True
+            if 0 <= value and value + pad < extent:
                 continue
-            stack[-1].assigns.append((name, code))
-            if any(re.search(rf"\b{t}\b", texpr) for t in tainted):
-                tainted.add(name)
-            continue
+            witness = {
+                "buffer": name, "line": line, "index": index,
+                "value": value, "extent": extent,
+                **{v: env[v] for v in var_order if v in env},
+            }
+            if pad:
+                witness["vector_pad"] = pad
+            diags.append(Diagnostic(
+                "source.local-index", Severity.ERROR,
+                f"line {line}: {name}[{index}] evaluates to "
+                f"{value}{f' (+{pad} lanes)' if pad else ''}, "
+                f"declared extent {extent}",
+                witness=witness,
+                paper=SOURCE_RULES["source.local-index"][0]))
+            return True
+        return False
 
-        if "barrier(" in line:
-            guards = [f for f in stack if f.cond_tainted]
-            if guards:
+    def check_subscripts(stmt) -> None:
+        stmt_nodes = list(_nodes(stmt))
+        pads: Dict[int, int] = {}  # id(Index) -> extra vloadN/vstoreN lanes
+        for n in stmt_nodes:
+            m = _kind(n) == "Call" and re.fullmatch(r"v(?:load|store)(\d+)",
+                                                    n.name)
+            for arg in n.args if m else ():
+                if _kind(arg) == "AddrOf":
+                    pads[id(arg.target)] = int(m.group(1)) - 1
+        for n in stmt_nodes:
+            if (_kind(n) == "Index" and n.base in extents
+                    and (n.base, stmt.line) not in flagged
+                    and check_site(n, stmt.line, pads.get(id(n), 0))):
+                flagged.add((n.base, stmt.line))
+
+    def walk(block, frame: _Frame) -> None:
+        stack.append(frame)
+        for s in block.stmts:
+            kind = _kind(s)
+            if kind == "Block":
+                walk(s, _Frame())
+            elif kind == "For":
+                c = s.cond
+                bounded = (_kind(c) == "Bin" and c.op == "<"
+                           and _kind(c.left) == "Var" and c.left.name == s.var)
+                loop = (s.var, *map(_closure, (s.init, c.right, s.step))
+                        ) if bounded else None
+                walk(s.body, _Frame(loop, is_tainted(s.init, c, s.step)))
+            elif kind == "If":
+                divergent = is_tainted(s.cond)
+                for branch in (s.then, s.other):
+                    if branch is not None:
+                        walk(branch, _Frame(divergent=divergent))
+            elif kind == "Barrier" and any(f.divergent for f in stack):
                 diags.append(Diagnostic(
                     "barrier.divergent", Severity.ERROR,
-                    f"line {lineno}: barrier under work-item-dependent "
+                    f"line {s.line}: barrier under work-item-dependent "
                     "control flow",
-                    witness={"line": lineno, "statement": line},
+                    witness={"line": s.line,
+                             "statement": source_lines[s.line - 1].strip()},
                     paper=SOURCE_RULES["barrier.divergent"][0]))
-            continue
+            elif kind in ("Assign", "ExprStmt", "DeclVar"):
+                check_subscripts(s)
+                if kind == "DeclVar" and is_tainted(s.init):
+                    tainted.add(s.name)
+                if kind == "DeclVar" and s.const and s.ctype == "int":
+                    frame.bindings.append((s.name, _closure(s.init)))
+        stack.pop()
 
-        # Array accesses on this statement: bounded evaluation.
-        first_token = line.split(" ", 1)[0]
-        if first_token in ("__local",) or _DECL_RE.match(line):
-            continue
-        for name, rx in access_re.items():
-            for m in rx.finditer(line):
-                if (name, lineno) in flagged:
-                    break
-                idx = _extract_index(line, m.end() - 1)
-                if idx is None:
-                    continue
-                try:
-                    code = compile_expr(idx)
-                except SyntaxError:
-                    continue
-                pad = 0
-                if m.group(1):  # &name[...] inside vloadN/vstoreN
-                    vm = _VLOADSTORE_RE.search(line)
-                    if vm:
-                        pad = int(vm.group(1)) - 1
-                extent = declared.get(name, expected_extents[name])
-                var_order = ["glid0", "glid1", "ggid0", "ggid1"] + [
-                    f.loop[0] for f in stack if f.loop is not None]
-                ncorner = 2 ** min(len(var_order), _MAX_CORNER_VARS)
-                trials = itertools.chain(
-                    range(ncorner), itertools.repeat(None, samples))
-                for corner in trials:
-                    env = sample_once(corner, var_order)
-                    if env is None:
-                        continue
-                    try:
-                        value = c_eval(code, env)
-                    except Exception:  # repro: allow(host.except.swallow) best-effort eval of foreign kernel text
-                        break
-                    if 0 <= value and value + pad < extent:
-                        continue
-                    witness = {
-                        "buffer": name, "line": lineno, "index": idx.strip(),
-                        "value": value, "extent": extent,
-                        **{v: env[v] for v in var_order if v in env},
-                    }
-                    if pad:
-                        witness["vector_pad"] = pad
-                    diags.append(Diagnostic(
-                        "source.local-index", Severity.ERROR,
-                        f"line {lineno}: {name}[{idx.strip()}] evaluates to "
-                        f"{value}{f' (+{pad} lanes)' if pad else ''}, "
-                        f"declared extent {extent}",
-                        witness=witness,
-                        paper=SOURCE_RULES["source.local-index"][0]))
-                    flagged.add((name, lineno))
-                    break
+    for kernel in unit.kernels.values():
+        walk(kernel.body, _Frame())
     return diags

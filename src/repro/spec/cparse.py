@@ -77,6 +77,12 @@ __all__ = [
 class SpecParseError(ReproError):
     """The source is outside the executable-spec language subset."""
 
+    @property
+    def line(self) -> Optional[int]:
+        """The offending source line, when the message names one."""
+        m = re.match(r"line (\d+):", str(self))
+        return int(m.group(1)) if m else None
+
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -312,6 +318,7 @@ class Call:
 class Index:
     base: str
     index: object
+    text: str = field(default="", compare=False)  # the subscript's tokens
 
 
 @dataclass(frozen=True)
@@ -353,6 +360,7 @@ class DeclVar:
     name: str
     init: object
     const: bool
+    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -365,6 +373,7 @@ class Assign:
 @dataclass(frozen=True)
 class ExprStmt:
     expr: object
+    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -431,6 +440,7 @@ class TranslationUnit:
     kernels: Dict[str, KernelDef]
     samplers: Tuple[SamplerDecl, ...]
     extensions: Tuple[str, ...]
+    macros: Dict[str, _Macro] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +667,7 @@ class _Parser:
             self.expect(";")
             return Assign(target=expr, value=value, line=tok.line)
         self.expect(";")
-        return ExprStmt(expr=expr)
+        return ExprStmt(expr=expr, line=tok.line)
 
     def parse_decl(self, space: str, skip_first: bool) -> object:
         start = self.peek()
@@ -687,7 +697,8 @@ class _Parser:
         self.expect(";")
         if init is None:
             init = Num(0, is_float=type_tok.text in ("float", "double"))
-        return DeclVar(ctype=type_tok.text, name=name.text, init=init, const=const)
+        return DeclVar(ctype=type_tok.text, name=name.text, init=init,
+                       const=const, line=start.line)
 
     def parse_for(self) -> For:
         start = self.expect("for")
@@ -809,10 +820,12 @@ class _Parser:
                 return expr
             if tok.text == "[":
                 self.next()
+                start = self.pos
                 idx = self.parse_expr()
+                text = " ".join(t.text for t in self.toks[start:self.pos])
                 self.expect("]")
                 if isinstance(expr, Var):
-                    expr = Index(base=expr.name, index=idx)
+                    expr = Index(base=expr.name, index=idx, text=text)
                 else:
                     raise SpecParseError(
                         f"line {tok.line}: subscripts are only supported on "
@@ -876,5 +889,6 @@ class _Parser:
 def parse_kernel_source(source: str) -> TranslationUnit:
     """Full front end: preprocess, tokenize, expand macros, parse."""
     pp = preprocess(source)
-    parser = _Parser(pp.tokens)
-    return parser.parse_unit(pp.extensions)
+    unit = _Parser(pp.tokens).parse_unit(pp.extensions)
+    unit.macros = pp.macros
+    return unit

@@ -416,14 +416,18 @@ class TestCatalogAndCli:
             Baseline.load(DEFAULT_BASELINE_PATH)
 
 
-class TestTreeGate:
-    def test_repro_package_lints_clean(self):
-        """The acceptance criterion: zero unsuppressed findings."""
-        result = lint_tree()
-        assert result.files_scanned > 50
-        rendered = "\n".join(f.render() for f in result.findings)
-        assert result.ok, f"unsuppressed host-lint findings:\n{rendered}"
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One whole-tree lint shared by the gate tests (a scan takes seconds)."""
+    return lint_tree()
 
-    def test_tree_scan_covers_all_rules(self):
-        result = lint_tree()
-        assert set(result.rules) == {r.rule_id for r in default_rules()}
+
+class TestTreeGate:
+    def test_repro_package_lints_clean(self, tree_lint):
+        """The acceptance criterion: zero unsuppressed findings."""
+        assert tree_lint.files_scanned > 50
+        rendered = "\n".join(f.render() for f in tree_lint.findings)
+        assert tree_lint.ok, f"unsuppressed host-lint findings:\n{rendered}"
+
+    def test_tree_scan_covers_all_rules(self, tree_lint):
+        assert set(tree_lint.rules) == {r.rule_id for r in default_rules()}

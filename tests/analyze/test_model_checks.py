@@ -15,9 +15,10 @@ from repro.analyze.bounds import check_bounds
 from repro.analyze.intervals import LinearIndex, Term
 from repro.analyze.races import check_phases, check_races, check_staging
 from repro.analyze.sites import KernelModel, Phase, StagingMap, build_model
-from repro.analyze.source_checks import check_source
+from repro.analyze.source_checks import _closure, check_source  # white-box: evaluator
 from repro.codegen.emitter import emit_kernel_source
 from repro.codegen.params import KernelParams
+from repro.spec.cparse import Bin, Num, Un
 from repro.tuner.pretuned import pretuned_catalog
 
 from tests.conftest import PARAM_MATRIX, make_params
@@ -128,6 +129,68 @@ class TestTamperedSources:
         other = make_params(kwi=4)
         findings = check_source(params, emit_kernel_source(other), samples=4)
         assert any(d.rule == "source.meta-mismatch" for d in findings)
+
+
+class TestSourceEvaluator:
+    """The source checks' integer evaluator and its failure reporting."""
+
+    @staticmethod
+    def _div(op, a, b):
+        return Bin(op, Un("-", Num(-a, False)) if a < 0 else Num(a, False),
+                   Num(b, False))
+
+    @pytest.mark.parametrize("op,a,b,want", [
+        ("/", -3, 2, -1), ("%", -3, 2, -1), ("/", -7, 3, -2),
+        ("%", -7, 3, -1), ("/", 7, 3, 2), ("%", 7, 3, 1),
+    ])
+    def test_c_division_truncates_toward_zero(self, op, a, b, want):
+        assert _closure(self._div(op, a, b))({}) == want
+
+    def test_division_by_zero_is_unevaluable(self):
+        with pytest.raises(ValueError):
+            _closure(self._div("/", 1, 0))({})
+
+    @pytest.mark.parametrize("zero", ["(-1 / 2)", "(-3 % 2) + 1"])
+    def test_negative_dividend_subscript_is_clean(self, zero):
+        """A subscript offset that is zero in C (but not under floor
+        division) must not be reported out of bounds."""
+        params = make_params(shared_a=True, shared_b=True)
+        source = emit_kernel_source(params)
+        tampered = source.replace("alm[kk * MWG + mm]",
+                                  f"alm[kk * MWG + mm + {zero}]")
+        assert tampered != source
+        assert check_source(params, tampered, samples=4) == []
+
+    def test_unevaluable_subscript_reports_its_line(self):
+        params = make_params(shared_a=True, shared_b=True)
+        source = emit_kernel_source(params)
+        tampered = source.replace("alm[kk * MWG + mm]", "alm[foo(kSizeM)]")
+        line = next(i for i, ln in enumerate(tampered.splitlines(), 1)
+                    if "foo(" in ln)
+        findings = check_source(params, tampered, samples=4)
+        parse = [d for d in findings if d.rule == "source.parse"]
+        assert [d.witness["line"] for d in parse] == [line]
+        assert parse[0].witness["buffer"] == "alm"
+
+    def test_unevaluable_declaration_reports_its_line(self):
+        params = make_params(shared_a=True, shared_b=True)
+        source = emit_kernel_source(params)
+        tampered = source.replace("alm[KWG * MWG];", "alm[foo(KWG)];")
+        assert tampered != source
+        line = next(i for i, ln in enumerate(tampered.splitlines(), 1)
+                    if "foo(" in ln)
+        findings = check_source(params, tampered, samples=4)
+        assert [(d.rule, d.witness["line"]) for d in findings] == [
+            ("source.parse", line)]
+
+    def test_parse_error_reports_its_line(self):
+        params = make_params()
+        source = emit_kernel_source(params)
+        lines = source.splitlines()
+        lines.insert(len(lines) - 1, "  int @oops;")
+        findings = check_source(params, "\n".join(lines), samples=4)
+        assert [(d.rule, d.witness["line"]) for d in findings] == [
+            ("source.parse", len(lines) - 1)]
 
 
 class TestTamperedModels:

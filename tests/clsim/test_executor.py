@@ -14,16 +14,23 @@ from repro.clsim.executor import ExecutionArrays, execute_plan
 from repro.codegen.layouts import pack_matrix
 from repro.codegen.plan import build_plan
 from repro.errors import LaunchError
+from repro.spec.differential import run_spec_leg
+from repro.spec.enumerate import SpecProgram
 
 from tests.conftest import PARAM_MATRIX, make_params
 
 
-def _run(params, M, N, K, alpha=1.5, beta=-0.5, mode="workgroup", seed=0):
+def _operands(params, M, N, K, seed):
     rng = np.random.default_rng(seed)
     dtype = np.float64 if params.precision == "d" else np.float32
     at = rng.standard_normal((K, M)).astype(dtype)
     b = rng.standard_normal((K, N)).astype(dtype)
     c = rng.standard_normal((M, N)).astype(dtype)
+    return at, b, c
+
+
+def _run(params, M, N, K, alpha=1.5, beta=-0.5, mode="workgroup", seed=0):
+    at, b, c = _operands(params, M, N, K, seed)
     a_flat = pack_matrix(at, params.layout_a, params.kwg, params.mwg)
     b_flat = pack_matrix(b, params.layout_b, params.kwg, params.nwg)
     c_flat = c.reshape(-1).copy()
@@ -122,21 +129,32 @@ class TestValidation:
             execute_plan(plan, arrays, 1.0, 0.0, mode="warp")
 
 
+def _run_spec(params, M, N, K, alpha=1.5, beta=-0.5, seed=0):
+    """The same launch as :func:`_run`, interpreted work-item by work-item
+    from the emitted OpenCL C by the executable spec."""
+    at, b, c = _operands(params, M, N, K, seed)
+    program = SpecProgram(0, params, (M, N, K), alpha, beta, origin="gold")
+    got, outcome, _ = run_spec_leg(program, at, b, c)
+    assert outcome.ok, outcome.violations[:3]
+    return got, alpha * (at.T @ b) + beta * c
+
+
 class TestScalarGoldStandard:
-    """Differential testing: the per-work-item interpreter vs the
-    vectorised executor, across the whole parameter matrix."""
+    """Differential testing: the spec VM's per-work-item (scalar)
+    interpretation of the emitted text vs the vectorised executor,
+    across the whole parameter matrix."""
 
     @pytest.mark.parametrize("params", PARAM_MATRIX,
                              ids=lambda p: p.summary()[:48])
     def test_scalar_matches_workgroup(self, params):
         M, N = params.mwg, params.nwg
         K = params.algorithm.min_k_iterations * params.kwg
-        got_scalar, _ = _run(params, M, N, K, mode="scalar")
+        got_spec, _ = _run_spec(params, M, N, K)
         got_wg, _ = _run(params, M, N, K, mode="workgroup")
-        np.testing.assert_allclose(got_scalar, got_wg, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(got_spec, got_wg, rtol=1e-6, atol=1e-6)
 
     def test_scalar_matches_reference_multi_tile(self):
         params = make_params(stride=make_params().stride.__class__(m=True, n=True),
                              vw=2, mwg=32, nwg=32)
-        got, expected = _run(params, 64, 32, 16, mode="scalar")
+        got, expected = _run_spec(params, 64, 32, 16)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
