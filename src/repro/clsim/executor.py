@@ -4,27 +4,33 @@ Two execution paths compute ``alpha * A^T B + beta * C``; they agree to
 rounding, not bit-for-bit, because they accumulate in different orders
 (the test suite checks this across the parameter matrix):
 
-* ``workgroup`` — faithful: iterates the work-group grid; for each
-  work-group walks the algorithm's k-loop structure (BA's single loop,
-  PL's prologue/body/epilogue, DB's alternating half-buffers), gathers
-  tiles through the layout address functions, stages them through
-  simulated local-memory arrays when the plan says so, accumulates
-  through the work-item ownership permutations, and merges with
-  alpha/beta.  Index-arithmetic mistakes anywhere in the stack produce
-  numerically wrong output.
+* ``workgroup`` — faithful: walks the algorithm's k-loop structure
+  (BA's single loop, PL's prologue/body/epilogue, DB's alternating
+  half-buffers) for the whole work-group grid at once, which is a numpy
+  axis rather than a Python loop.  Each k-chunk gathers every
+  work-group's tiles through the layout address functions, stages them
+  through simulated local-memory arrays when the plan says so, puts them
+  into work-item ownership order, and adds all work-groups' products
+  with one stacked ``np.matmul``; one un-permute through the ownership
+  maps merges the result with alpha/beta.  Index-arithmetic mistakes
+  anywhere in the stack produce numerically wrong output.
 * ``fast`` — whole-matrix: unpacks the operands from their layouts and
   issues one BLAS-3 call.  Used for large benchmark problems where the
-  faithful path's Python-level loops would dominate.
+  faithful path's per-k-chunk gathers, copies and small products would
+  dominate.
 
 Both are differentially tested against the gold standard, the
 executable spec (:func:`repro.spec.machine.run_kernel`), which
 interprets every work-item of the emitted OpenCL C text itself.
 
-Within a work-group the work-items are vectorised as numpy axes — the
-idiomatic way to simulate a data-parallel device on a CPU (everything in
-a work-group is, by OpenCL semantics, observationally equivalent to any
-interleaving that respects barriers; the plan verified barrier-free
-ownership/staging disjointness at build time).
+Work-groups and the work-items within them are vectorised as numpy
+axes — the idiomatic way to simulate a data-parallel device on a CPU
+(work-groups are independent, and everything in a work-group is, by
+OpenCL semantics, observationally equivalent to any interleaving that
+respects barriers; the plan verified barrier-free ownership/staging
+disjointness at build time).  Each work-group's product is still its
+own ``(Mwg x k) @ (k x Nwg)`` BLAS call, so the arithmetic, and with it
+every output bit, does not depend on how many work-groups there are.
 """
 
 from __future__ import annotations
@@ -41,23 +47,22 @@ __all__ = ["execute_plan", "ExecutionArrays"]
 
 
 def _clipped_tile(
-    flat: np.ndarray, K: int, X: int, kb: int, xb: int, bk: int, bx: int,
-    dtype,
+    flat: np.ndarray, K: int, X: int, kb: int, bk: int, bx: int, dtype,
 ) -> np.ndarray:
-    """A full ``bk x bx`` tile from an unpadded row-major operand.
+    """Every ``bk x bx`` tile of k-block ``kb`` from an unpadded row-major
+    operand, stacked on a leading axis: shape ``(ceil(X / bx), bk, bx)``.
 
     Edge tiles are zero-filled beyond the matrix — exactly what the
     guarded kernel's bounds-checked reads produce (out-of-range loads
     are skipped and the corresponding products never contribute).
     """
-    mat = flat.reshape(K, X)
-    k0, x0 = kb * bk, xb * bx
-    piece = mat[k0:k0 + bk, x0:x0 + bx]
-    if piece.shape == (bk, bx):
-        return piece
-    out = np.zeros((bk, bx), dtype=dtype)
-    out[: piece.shape[0], : piece.shape[1]] = piece
-    return out
+    width = -(-X // bx) * bx
+    piece = flat.reshape(K, X)[kb * bk : (kb + 1) * bk]
+    if piece.shape != (bk, width):
+        padded = np.zeros((bk, width), dtype=dtype)
+        padded[: piece.shape[0], :X] = piece
+        piece = padded
+    return piece.reshape(bk, width // bx, bx).transpose(1, 0, 2)
 
 
 class ExecutionArrays:
@@ -135,38 +140,25 @@ def _execute_fast(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
     ar.c += plan.dtype.type(alpha) * (at.T @ b)
 
 
-def _gather_a(plan: KernelPlan, ar: ExecutionArrays, kb: int, mb: int) -> np.ndarray:
-    p = plan.params
-    if p.guard_edges:
-        return _clipped_tile(ar.a, ar.K, ar.M, kb, mb, p.kwg, p.mwg, plan.dtype)
-    return tile_view(ar.a, p.layout_a, kb, mb, ar.K, ar.M, p.kwg, p.mwg)
+class _Grid:
+    """State of every work-group of a launch: local tiles and accumulators.
 
-
-def _gather_b(plan: KernelPlan, ar: ExecutionArrays, kb: int, nb: int) -> np.ndarray:
-    p = plan.params
-    if p.guard_edges:
-        return _clipped_tile(ar.b, ar.K, ar.N, kb, nb, p.kwg, p.nwg, plan.dtype)
-    return tile_view(ar.b, p.layout_b, kb, nb, ar.K, ar.N, p.kwg, p.nwg)
-
-
-class _WorkGroup:
-    """State of one simulated work-group: local tiles and accumulators.
-
-    The accumulator is kept in *ownership order*: axis 0 runs over
-    (M-lane, owned-element) pairs, axis 1 over (N-lane, owned-element)
-    pairs, exactly the private `cpm` register blocks of the emitted
-    kernel concatenated over the work-group.
+    Tiles are stacked over the grid: a gathered A tile is
+    ``(grid_m, k, Mwg)``, a B tile ``(grid_n, k, Nwg)``.  The accumulator
+    is ``(grid_m, grid_n, Mwg, Nwg)`` in *ownership order*: axis 2 runs
+    over (M-lane, owned-element) pairs, axis 3 over (N-lane,
+    owned-element) pairs, exactly the private `cpm` register blocks of
+    each work-group of the emitted kernel concatenated.
     """
 
-    def __init__(self, plan: KernelPlan, mb: int, nb: int):
+    def __init__(self, plan: KernelPlan, ar: ExecutionArrays):
         self.plan = plan
-        self.mb = mb
-        self.nb = nb
         p = plan.params
         # Ownership permutations: tile index per (lane, element), flattened.
         self.rows = plan.row_permutation()
         self.cols = plan.col_permutation()
-        self.acc = np.zeros((p.mwg, p.nwg), dtype=plan.dtype)
+        grid_m, grid_n = plan.workgroup_grid(ar.M, ar.N)
+        self.acc = np.zeros((grid_m, grid_n, p.mwg, p.nwg), dtype=plan.dtype)
         # Simulated local memory (contents only; capacity was checked at
         # build time).  DB keeps two half-height buffers per matrix.
         self.alm: list[np.ndarray] = []
@@ -176,61 +168,66 @@ class _WorkGroup:
         """Cooperative copy of a (half-)tile into a local buffer slot."""
         target = self.alm if which == "a" else self.blm
         while len(target) <= slot:
-            target.append(np.empty((0, 0), dtype=self.plan.dtype))
+            target.append(np.empty((0, 0, 0), dtype=self.plan.dtype))
         target[slot] = np.ascontiguousarray(tile)
 
     def local(self, which: str, slot: int = 0) -> np.ndarray:
         return (self.alm if which == "a" else self.blm)[slot]
 
     def multiply_add(self, a_tile: np.ndarray, b_tile: np.ndarray) -> None:
-        """acc += a_tile^T @ b_tile through the ownership permutations.
+        """acc += a_tile^T @ b_tile per work-group, in ownership order.
 
-        ``a_tile`` is (k x Mwg), ``b_tile`` is (k x Nwg).  The columns
-        are gathered in ownership order — the per-work-item private
-        loads of the emitted kernel — and the result is scattered back
-        the same way, so a wrong ownership map corrupts the output.
+        ``a_tile`` is (grid_m x k x Mwg), ``b_tile`` is (grid_n x k x
+        Nwg).  The columns are gathered in ownership order — the
+        per-work-item private loads of the emitted kernel — and every
+        (mb, nb) product lands in that work-group's accumulator, so a
+        wrong ownership map corrupts the output.
         """
-        a_perm = a_tile[:, self.rows]
-        b_perm = b_tile[:, self.cols]
-        self.acc[np.ix_(self.rows, self.cols)] += a_perm.T @ b_perm
+        a_perm = a_tile[:, :, self.rows]
+        b_perm = b_tile[:, :, self.cols]
+        self.acc += np.matmul(a_perm.transpose(0, 2, 1)[:, None], b_perm[None])
 
     def merge(self, ar: ExecutionArrays, alpha, beta) -> None:
+        """Un-permute the accumulator into C, merging with alpha/beta.
+
+        Inverting the ownership maps places each accumulator row and
+        column: every (lane, element) pair writes its position into the
+        tile slot it owns.  A map that is not a bijection leaves slots
+        unowned (they read position 0), so it corrupts C.  Cropping to
+        ``M x N`` is the guarded kernel's out-of-range lanes writing
+        nothing.
+        """
         p = self.plan.params
-        r0, c0 = self.mb * p.mwg, self.nb * p.nwg
-        gi = r0 + self.rows
-        gj = c0 + self.cols
-        if p.guard_edges:
-            # Guarded merge: out-of-range lanes write nothing.
-            rsel = gi < ar.M
-            csel = gj < ar.N
-            if not rsel.any() or not csel.any():
-                return
-            cidx = np.ix_(gi[rsel], gj[csel])
-            aidx = np.ix_(self.rows[rsel], self.cols[csel])
-            ar.c[cidx] = alpha * self.acc[aidx] + beta * ar.c[cidx]
-            return
-        block = ar.c[r0 : r0 + p.mwg, c0 : c0 + p.nwg]
-        idx = np.ix_(self.rows, self.cols)
-        block[idx] = alpha * self.acc[idx] + beta * block[idx]
+        grid_m, grid_n = self.acc.shape[:2]
+        slot_rows = np.zeros(p.mwg, dtype=np.intp)
+        slot_rows[self.rows] = np.arange(p.mwg)
+        slot_cols = np.zeros(p.nwg, dtype=np.intp)
+        slot_cols[self.cols] = np.arange(p.nwg)
+        gj = (np.arange(grid_n)[:, None] * p.nwg + slot_cols).reshape(-1)
+        acc = self.acc.transpose(0, 2, 1, 3).take(slot_rows, axis=1)
+        acc = acc.reshape(grid_m * p.mwg, grid_n * p.nwg)[: ar.M]
+        ar.c[...] = alpha * acc.take(gj[: ar.N], axis=1) + beta * ar.c
 
 
 def _execute_workgroups(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
-    p = plan.params
-    grid_m, grid_n = plan.workgroup_grid(ar.M, ar.N)
     runner = {
         Algorithm.BA: _run_ba,
         Algorithm.PL: _run_pl,
         Algorithm.DB: _run_db,
-    }[p.algorithm]
-    for mb in range(grid_m):
-        for nb in range(grid_n):
-            wg = _WorkGroup(plan, mb, nb)
-            runner(plan, ar, wg)
-            wg.merge(ar, alpha, beta)
+    }[plan.params.algorithm]
+    grid = _Grid(plan, ar)
+    runner(plan, ar, grid)
+    grid.merge(ar, alpha, beta)
 
 
-def _tiles(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup, kb: int):
-    return _gather_a(plan, ar, kb, wg.mb), _gather_b(plan, ar, kb, wg.nb)
+def _tiles(plan: KernelPlan, ar: ExecutionArrays, kb: int):
+    """Every work-group's A and B tiles of k-block ``kb``, stacked."""
+    p = plan.params
+    if p.guard_edges:
+        return (_clipped_tile(ar.a, ar.K, ar.M, kb, p.kwg, p.mwg, plan.dtype),
+                _clipped_tile(ar.b, ar.K, ar.N, kb, p.kwg, p.nwg, plan.dtype))
+    return (tile_view(ar.a, p.layout_a, kb, None, ar.K, ar.M, p.kwg, p.mwg),
+            tile_view(ar.b, p.layout_b, kb, None, ar.K, ar.N, p.kwg, p.nwg))
 
 
 def _k_blocks(plan: KernelPlan, K: int) -> int:
@@ -238,26 +235,26 @@ def _k_blocks(plan: KernelPlan, K: int) -> int:
     return -(-K // p.kwg) if p.guard_edges else K // p.kwg
 
 
-def _run_ba(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
+def _run_ba(plan: KernelPlan, ar: ExecutionArrays, grid: _Grid) -> None:
     """Basic algorithm (paper Fig. 4): stage, barrier, compute, barrier."""
     p = plan.params
     for kb in range(_k_blocks(plan, ar.K)):
-        a_tile, b_tile = _tiles(plan, ar, wg, kb)
+        a_tile, b_tile = _tiles(plan, ar, kb)
         if p.shared_a:
-            wg.stage("a", a_tile)
-            a_src = wg.local("a")
+            grid.stage("a", a_tile)
+            a_src = grid.local("a")
         else:
             a_src = a_tile
         if p.shared_b:
-            wg.stage("b", b_tile)
-            b_src = wg.local("b")
+            grid.stage("b", b_tile)
+            b_src = grid.local("b")
         else:
             b_src = b_tile
         # barrier; inner pwi loop (fully unrolled in Kwi steps); barrier.
-        wg.multiply_add(a_src, b_src)
+        grid.multiply_add(a_src, b_src)
 
 
-def _run_pl(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
+def _run_pl(plan: KernelPlan, ar: ExecutionArrays, grid: _Grid) -> None:
     """Software pipelining (paper Fig. 5).
 
     The body computes on the tiles staged in local memory while the
@@ -267,40 +264,38 @@ def _run_pl(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
     """
     p = plan.params
     if not (p.shared_a or p.shared_b):
-        _run_ba(plan, ar, wg)  # degenerate PL (no local memory): same order
+        _run_ba(plan, ar, grid)  # degenerate PL (no local memory): same order
         return
     n_iter = _k_blocks(plan, ar.K)
     # Prologue: stage tiles of k-block 0.
-    a_tile, b_tile = _tiles(plan, ar, wg, 0)
+    a_tile, b_tile = _tiles(plan, ar, 0)
     if p.shared_a:
-        wg.stage("a", a_tile)
+        grid.stage("a", a_tile)
     if p.shared_b:
-        wg.stage("b", b_tile)
+        grid.stage("b", b_tile)
     prefetch_a = prefetch_b = None
     for kb in range(n_iter - 1):
         # Prefetch next tiles into private staging...
-        next_a, next_b = _tiles(plan, ar, wg, kb + 1)
+        next_a, next_b = _tiles(plan, ar, kb + 1)
         if p.shared_a:
             prefetch_a = np.ascontiguousarray(next_a)
         if p.shared_b:
             prefetch_b = np.ascontiguousarray(next_b)
         # ...compute on the currently staged tiles...
-        cur_a = wg.local("a") if p.shared_a else _gather_a(plan, ar, kb, wg.mb)
-        cur_b = wg.local("b") if p.shared_b else _gather_b(plan, ar, kb, wg.nb)
-        wg.multiply_add(cur_a, cur_b)
+        grid.multiply_add(grid.local("a") if p.shared_a else a_tile,
+                          grid.local("b") if p.shared_b else b_tile)
         # ...barrier; commit the prefetch; barrier.
         if p.shared_a:
-            wg.stage("a", prefetch_a)
+            grid.stage("a", prefetch_a)
         if p.shared_b:
-            wg.stage("b", prefetch_b)
+            grid.stage("b", prefetch_b)
+        a_tile, b_tile = next_a, next_b
     # Epilogue: the last staged tiles.
-    last = n_iter - 1
-    cur_a = wg.local("a") if p.shared_a else _gather_a(plan, ar, last, wg.mb)
-    cur_b = wg.local("b") if p.shared_b else _gather_b(plan, ar, last, wg.nb)
-    wg.multiply_add(cur_a, cur_b)
+    grid.multiply_add(grid.local("a") if p.shared_a else a_tile,
+                      grid.local("b") if p.shared_b else b_tile)
 
 
-def _run_db(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
+def _run_db(plan: KernelPlan, ar: ExecutionArrays, grid: _Grid) -> None:
     """Double buffering (paper Fig. 6).
 
     Each ``Kwg`` tile is processed as two half-height pieces; while one
@@ -311,38 +306,38 @@ def _run_db(plan: KernelPlan, ar: ExecutionArrays, wg: _WorkGroup) -> None:
     half = p.kwg // 2
 
     def halves(kb: int):
-        a_tile, b_tile = _tiles(plan, ar, wg, kb)
+        a_tile, b_tile = _tiles(plan, ar, kb)
         return (
-            (a_tile[:half], a_tile[half:]),
-            (b_tile[:half], b_tile[half:]),
+            (a_tile[:, :half], a_tile[:, half:]),
+            (b_tile[:, :half], b_tile[:, half:]),
         )
 
     def compute(a_half, b_half, slot):
-        a_src = wg.local("a", slot) if p.shared_a else a_half
-        b_src = wg.local("b", slot) if p.shared_b else b_half
-        wg.multiply_add(a_src, b_src)
+        a_src = grid.local("a", slot) if p.shared_a else a_half
+        b_src = grid.local("b", slot) if p.shared_b else b_half
+        grid.multiply_add(a_src, b_src)
 
     n_iter = _k_blocks(plan, ar.K)
     # Prologue: fill slot 0 with the first half of k-block 0.
     (a0, a1), (b0, b1) = halves(0)
     if p.shared_a:
-        wg.stage("a", a0, slot=0)
+        grid.stage("a", a0, slot=0)
     if p.shared_b:
-        wg.stage("b", b0, slot=0)
+        grid.stage("b", b0, slot=0)
     for kb in range(n_iter):
         (a0, a1), (b0, b1) = halves(kb)
         # Load odd half into slot 1 while computing on slot 0.
         if p.shared_a:
-            wg.stage("a", a1, slot=1)
+            grid.stage("a", a1, slot=1)
         if p.shared_b:
-            wg.stage("b", b1, slot=1)
+            grid.stage("b", b1, slot=1)
         compute(a0, b0, slot=0)
         # Load the *next* block's even half into slot 0 while computing
         # on slot 1 (the epilogue has no next block).
         if kb + 1 < n_iter:
             (na0, _), (nb0, _) = halves(kb + 1)
             if p.shared_a:
-                wg.stage("a", na0, slot=0)
+                grid.stage("a", na0, slot=0)
             if p.shared_b:
-                wg.stage("b", nb0, slot=0)
+                grid.stage("b", nb0, slot=0)
         compute(a1, b1, slot=1)

@@ -130,7 +130,7 @@ def tile_view(
     flat: np.ndarray,
     layout: Layout,
     kb: int,
-    mb: int,
+    mb: int | None,
     K: int,
     M: int,
     bk: int,
@@ -139,16 +139,23 @@ def tile_view(
     """Return the ``bk x bm`` tile at block coordinates ``(kb, mb)``.
 
     ``kb`` indexes ``Kwg``-tall row blocks, ``mb`` indexes ``Mwg``-wide
-    column blocks.  For the block-major layouts this is a cheap numpy view
-    (no copy), mirroring the contiguous access the layouts exist to
-    provide; for ``ROW`` it is a strided view.
+    column blocks; ``mb=None`` returns every column block of row block
+    ``kb``, stacked on a leading axis: shape ``(M // bm, bk, bm)``.  For
+    the block-major layouts this is a cheap numpy view (no copy),
+    mirroring the contiguous access the layouts exist to provide; for
+    ``ROW`` it is a strided view.
     """
-    if not (0 <= kb < K // bk) or not (0 <= mb < M // bm):
+    grid = M // bm
+    if not (0 <= kb < K // bk) or not (mb is None or 0 <= mb < grid):
         raise IndexError(
             f"tile ({kb}, {mb}) out of range for {K}x{M} with blocks {bk}x{bm}"
         )
+    rows = slice(kb * bk, (kb + 1) * bk)
     if layout is Layout.ROW:
-        return flat.reshape(K, M)[kb * bk : (kb + 1) * bk, mb * bm : (mb + 1) * bm]
-    if layout is Layout.CBL:
-        return flat.reshape(M // bm, K, bm)[mb, kb * bk : (kb + 1) * bk, :]
-    return flat.reshape(K // bk, M // bm, bk, bm)[kb, mb]
+        panel = flat.reshape(K, M)[rows, : grid * bm].reshape(bk, grid, bm)
+        panel = panel.transpose(1, 0, 2)
+    elif layout is Layout.CBL:
+        panel = flat.reshape(grid, K, bm)[:, rows]
+    else:
+        panel = flat.reshape(K // bk, grid, bk, bm)[kb]
+    return panel if mb is None else panel[mb]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Tuple
 
 from repro.codegen.algorithms import Algorithm
@@ -298,7 +298,7 @@ class KernelParams:
 
     # -- (de)serialisation -----------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in _FIELD_NAMES}
         d["stride"] = self.stride.label()
         d["layout_a"] = self.layout_a.value
         d["layout_b"] = self.layout_b.value
@@ -371,3 +371,8 @@ class KernelParams:
             self.layout_a.value, self.layout_b.value, self.algorithm.value,
             self.use_images, self.guard_edges,
         )
+
+
+#: Field names in declaration order: the keys of :meth:`KernelParams.to_dict`
+#: (a direct build; ``dataclasses.asdict`` deep-copies every field).
+_FIELD_NAMES = tuple(f.name for f in fields(KernelParams))

@@ -407,7 +407,10 @@ class GemmRoutine:
         copy_in_s = t_pack_a + t_pack_b
 
         # -- kernel step -----------------------------------------------------
-        c_work = prepare_c(c, M, N, Mp, Np, self.dtype)
+        # BLAS semantics: with beta == 0, C is not read (a NaN in it must
+        # not reach the output through 0 * NaN).
+        c_in = c if float(beta) != 0.0 else None
+        c_work = prepare_c(c_in, M, N, Mp, Np, self.dtype)
         cbuf = cl.Buffer(self.context, cl.MemFlags.READ_WRITE, hostbuf=c_work)
         try:
             self.kernel.set_args(Mp, Np, Kp, float(alpha), float(beta),

@@ -7,6 +7,8 @@ reproduce ``alpha * A^T B + beta * C`` exactly — through the real index
 structure (ownership permutations, tile gathers, staged halves).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,13 @@ def _operands(params, M, N, K, seed):
     return at, b, c
 
 
-def _run(params, M, N, K, alpha=1.5, beta=-0.5, mode="workgroup", seed=0):
+def _run(params, M, N, K, alpha=1.5, beta=-0.5, mode="workgroup", seed=0,
+         plan=None):
     at, b, c = _operands(params, M, N, K, seed)
     a_flat = pack_matrix(at, params.layout_a, params.kwg, params.mwg)
     b_flat = pack_matrix(b, params.layout_b, params.kwg, params.nwg)
     c_flat = c.reshape(-1).copy()
-    plan = build_plan(params)
+    plan = plan or build_plan(params)
     arrays = ExecutionArrays(plan, a_flat, b_flat, c_flat, M, N, K)
     execute_plan(plan, arrays, alpha, beta, mode=mode)
     expected = alpha * (at.T @ b) + beta * c
@@ -64,6 +67,34 @@ class TestCorrectnessMatrix:
         got_wg, _ = _run(params, M, N, K, mode="workgroup")
         got_fast, _ = _run(params, M, N, K, mode="fast")
         np.testing.assert_allclose(got_wg, got_fast, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("params", [p for p in PARAM_MATRIX if p.guard_edges],
+                         ids=lambda p: p.summary()[:48])
+def test_guarded_ragged_multi_tile_problem(params):
+    # No dimension is a blocking multiple, so every edge work-group of the
+    # 3x2 grid has partial tiles and the last k-block is short.
+    M, N, K = 3 * params.mwg - 3, 2 * params.nwg - 1, 2 * params.kwg + 3
+    assert build_plan(params).workgroup_grid(M, N) == (3, 2)
+    tol = 1e-12 if params.precision == "d" else 1e-4
+    got, expected = _run(params, M, N, K)
+    np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
+
+
+def test_workgroup_mode_consumes_the_ownership_map():
+    # A row map with a repeated index (one row owned twice, another not at
+    # all) bypasses build_plan's bijection check; the faithful path reads
+    # and writes C through the map, so its output must go wrong.
+    params = make_params()
+    plan = build_plan(params)
+    owner = plan.row_owner.copy()
+    owner.reshape(-1)[1] = owner.reshape(-1)[0]
+    tampered = dataclasses.replace(plan, row_owner=owner)
+    M, N, K = 2 * params.mwg, 2 * params.nwg, 2 * params.kwg
+    got, expected = _run(params, M, N, K, plan=tampered)
+    assert not np.allclose(got, expected, rtol=1e-6, atol=1e-6)
+    got, expected = _run(params, M, N, K, plan=plan)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestScalars:

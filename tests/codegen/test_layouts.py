@@ -97,6 +97,19 @@ class TestTileView:
                 expected = mat[kb * bk:(kb + 1) * bk, mb * bm:(mb + 1) * bm]
                 np.testing.assert_array_equal(tile, expected)
 
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS)
+    def test_stacked_tiles_are_the_row_blocks_tiles(self, layout):
+        K, M, bk, bm = 8, 12, 4, 4
+        flat = pack_matrix(_matrix(K, M), layout, bk, bm)
+        for kb in range(K // bk):
+            stacked = tile_view(flat, layout, kb, None, K, M, bk, bm)
+            assert stacked.shape == (M // bm, bk, bm)
+            assert np.shares_memory(stacked, flat)
+            for mb in range(M // bm):
+                np.testing.assert_array_equal(
+                    stacked[mb], tile_view(flat, layout, kb, mb, K, M, bk, bm)
+                )
+
     @pytest.mark.parametrize("layout", [Layout.CBL, Layout.RBL])
     def test_block_major_tiles_are_views(self, layout):
         """The block-major layouts exist so tiles need no copy."""

@@ -1,5 +1,8 @@
 """Validation and derived quantities of KernelParams."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.codegen.algorithms import Algorithm
@@ -136,6 +139,28 @@ class TestSerialization:
         for p in PARAM_MATRIX:
             assert KernelParams.from_dict(p.to_dict()) == p
             assert KernelParams.from_json(p.to_json()) == p
+
+    def test_json_is_byte_identical_to_asdict_serialisation(self):
+        # Tuning caches and checkpoints hash this text, so the direct
+        # to_dict build must serialise exactly as asdict plus labels did.
+        from itertools import islice
+
+        from repro.codegen.space import enumerate_space
+        from repro.devices import get_device_spec
+        from tests.conftest import PARAM_MATRIX
+
+        subjects = list(PARAM_MATRIX)
+        for device, precision in (("tahiti", "s"), ("bulldozer", "d")):
+            space = enumerate_space(get_device_spec(device), precision)
+            subjects += islice(space, 200)
+        for p in subjects:
+            d = dataclasses.asdict(p)
+            d["stride"] = p.stride.label()
+            d["layout_a"] = p.layout_a.value
+            d["layout_b"] = p.layout_b.value
+            d["algorithm"] = p.algorithm.value
+            assert list(p.to_dict()) == list(d)
+            assert p.to_json() == json.dumps(d, sort_keys=True)
 
     def test_cache_key_distinguishes(self):
         a = make_params()

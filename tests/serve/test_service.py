@@ -56,6 +56,25 @@ class TestCleanPath:
         assert "breaker[tahiti]" in text
 
 
+class TestBetaZero:
+    def test_nan_c_with_beta_zero_is_not_read(self, problem):
+        # BLAS semantics: beta == 0 means C is never read, so a NaN-filled
+        # C must neither poison the result nor be blamed on the kernel.
+        service = GemmService("tahiti", "d")
+        a, b = problem
+        c = np.full((a.shape[0], b.shape[1]), np.nan)
+        result = service.submit(a, b, c, alpha=1.5, beta=0.0)
+        assert result.rung == "tuned"
+        assert not result.degraded
+        expected = reference_gemm("N", "N", 1.5, a, b, 0.0)
+        assert relative_error(result.c, expected) < 1e-12
+        assert service.counters.corruption_caught == 0
+        assert service.counters.quarantined == 0
+        assert service.quarantined == ()
+        # The next clean request still lands on the tuned kernel.
+        assert service.submit(a, b).rung == "tuned"
+
+
 class TestAdmission:
     def test_backlog_overflow_sheds_with_a_typed_error(self, problem):
         config = ServiceConfig(max_backlog_s=0.0)
