@@ -10,11 +10,10 @@
     :class:`repro.obs.Observability` facade does) are allowed.
 
 ``host.obs.counter-dec``
-    Prometheus-model counters are monotone by contract (PR 4's
-    ``Counter.set_total`` has a runtime backwards guard); statically we
-    flag the obvious violations: ``.dec(...)`` on a receiver that is
-    visibly a counter, and ``.inc(...)``/``.set_total(...)`` with a
-    negative literal.
+    Prometheus-model counters are monotone by contract (``Counter.inc``
+    rejects a negative amount at run time); statically we flag the
+    obvious violations: ``.dec(...)`` on a receiver that is visibly a
+    counter, and ``.inc(...)`` with a negative literal.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class CounterDecrementRule(HostRule):
                     ),
                     witness={"receiver": receiver, "method": "dec"},
                 )
-            elif func.attr in ("inc", "set_total") and node.args:
+            elif func.attr == "inc" and node.args:
                 amount = node.args[0]
                 if self._negative_literal(amount):
                     yield Finding(

@@ -84,7 +84,7 @@ def serve(
     validation, admission control, circuit breakers, the degradation
     ladder, and Freivalds result verification, with sensible defaults.
     Pass ``obs=observability(seed)`` to trace each request through the
-    gates and mirror the service counters into a metrics registry.
+    gates and export the service counters through a metrics registry.
     """
     from repro.serve import GemmService
 

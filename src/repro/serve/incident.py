@@ -130,8 +130,8 @@ class ServiceCounters:
     #: "reference"), e.g. {"tuned": 950, "reference": 3}.
     served_by_rung: Dict[str, int] = field(default_factory=dict)
 
-    #: Integer fields mirrored into a bound metrics registry, in the
-    #: render order.  ``served_by_rung`` mirrors as a labeled series.
+    #: Integer fields exported by a bound metrics registry, in the
+    #: render order.  ``served_by_rung`` exports as a labeled series.
     COUNTER_FIELDS = (
         "requests", "admitted", "shed", "shed_retried", "invalid",
         "completed", "degraded", "breaker_trips", "verified",
@@ -142,50 +142,24 @@ class ServiceCounters:
     )
 
     def bind_registry(self, registry, prefix: str = "serve") -> None:
-        """Mirror every counter into an obs metrics registry.
+        """Export every counter through an obs metrics registry.
 
-        The dataclass stays the source of truth and its API is unchanged
-        — plain ``counters.shed += 1`` assignments write through to
-        ``<prefix>_<field>_total`` counters (and ``count_rung`` to the
-        ``<prefix>_served_by_rung_total{rung=...}`` series), so existing
-        callers and the exporters see the same numbers.
+        The fields stay the only store; the registry reads them as
+        ``<prefix>_<field>_total`` (and ``served_by_rung`` as
+        ``<prefix>_served_by_rung_total{rung=...}``) whenever it is read.
         """
-        mirrors = {
-            name: registry.counter(
-                f"{prefix}_{name}_total",
-                f"ServiceCounters.{name} (see docs/serving.md).",
-            )
-            for name in self.COUNTER_FIELDS
-        }
-        rung_mirror = registry.counter(
-            f"{prefix}_served_by_rung_total",
-            "Responses per degradation-ladder rung.",
-            labelnames=("rung",),
+        registry.track(
+            self,
+            {name: (f"{prefix}_{name}_total",
+                    f"ServiceCounters.{name} (see docs/serving.md).")
+             for name in self.COUNTER_FIELDS},
+            {"served_by_rung": (f"{prefix}_served_by_rung_total",
+                                "Responses per degradation-ladder rung.",
+                                "rung")},
         )
-        # Registry counters are cumulative across instances (Prometheus
-        # semantics): each bind contributes on top of whatever earlier
-        # services already mirrored, via a per-field base offset.
-        bases = {name: mirrors[name].value for name in self.COUNTER_FIELDS}
-        for name, mirror in mirrors.items():
-            mirror.set_total(bases[name] + getattr(self, name))
-        for rung, count in self.served_by_rung.items():
-            child = rung_mirror.labels(rung=rung)
-            child.set_total(child.value + count)
-        self.__dict__["_mirrors"] = mirrors
-        self.__dict__["_mirror_bases"] = bases
-        self.__dict__["_rung_mirror"] = rung_mirror
-
-    def __setattr__(self, name: str, value) -> None:
-        super().__setattr__(name, value)
-        mirrors = self.__dict__.get("_mirrors")
-        if mirrors is not None and name in mirrors:
-            mirrors[name].set_total(self.__dict__["_mirror_bases"][name] + value)
 
     def count_rung(self, rung: str) -> None:
         self.served_by_rung[rung] = self.served_by_rung.get(rung, 0) + 1
-        rung_mirror = self.__dict__.get("_rung_mirror")
-        if rung_mirror is not None:
-            rung_mirror.labels(rung=rung).inc()
 
     def as_dict(self) -> Dict:
         return asdict(self)

@@ -126,7 +126,7 @@ class TuningStats:
     failed_transient: int = 0
     refined: int = 0
     #: Candidates rejected by the static verifier before any evaluation
-    #: (only non-zero with the gate enabled; mirrors per-rule as the
+    #: (only non-zero with the gate enabled; exported per rule as the
     #: labeled ``tuner_static_rejects_total{rule=...}`` series).
     static_rejects: int = 0
     #: Static rejections by rule id, e.g. {"device.occupancy": 12}.
@@ -162,8 +162,8 @@ class TuningStats:
     stage2_s: float = 0.0
     verify_s: float = 0.0
 
-    #: Monotonic integer fields mirrored into a bound metrics registry;
-    #: ``faults_by_class`` mirrors as a labeled series (see
+    #: Monotonic integer fields exported by a bound metrics registry;
+    #: ``faults_by_class`` exports as a labeled series (see
     #: :meth:`bind_registry`).
     COUNTER_FIELDS = (
         "generated", "measured", "failed_generation", "failed_build",
@@ -174,60 +174,28 @@ class TuningStats:
     )
 
     def bind_registry(self, registry, prefix: str = "tuner") -> None:
-        """Mirror the counters into an obs metrics registry.
+        """Export the counters through an obs metrics registry.
 
-        The dataclass stays the source of truth and its API is unchanged
-        — plain ``stats.cache_hits += 1`` assignments write through to
-        ``<prefix>_<field>_total`` counters, so the search code and the
-        Prometheus exporter always agree.
+        The fields stay the only store; the registry reads them as
+        ``<prefix>_<field>_total`` counters whenever it is read, so the
+        search code and the Prometheus exporter always agree.
         """
-        mirrors = {
-            name: registry.counter(
-                f"{prefix}_{name}_total",
-                f"TuningStats.{name} (see docs/tuning_pipeline.md).",
-            )
-            for name in self.COUNTER_FIELDS
-        }
-        fault_mirror = registry.counter(
-            f"{prefix}_faults_total",
-            "Absorbed fault events by class.",
-            labelnames=("kind",),
+        registry.track(
+            self,
+            {name: (f"{prefix}_{name}_total",
+                    f"TuningStats.{name} (see docs/tuning_pipeline.md).")
+             for name in self.COUNTER_FIELDS},
+            {"faults_by_class": (f"{prefix}_faults_total",
+                                 "Absorbed fault events by class.", "kind"),
+             "static_rejects_by_rule": (
+                 f"{prefix}_static_rejects_total",
+                 "Candidates rejected by the static verifier, by rule id.",
+                 "rule")},
         )
-        static_mirror = registry.counter(
-            f"{prefix}_static_rejects_total",
-            "Candidates rejected by the static verifier, by rule id.",
-            labelnames=("rule",),
-        )
-        # Registry counters are cumulative across instances (Prometheus
-        # semantics): each bind contributes on top of whatever earlier
-        # searches already mirrored, via a per-field base offset.
-        bases = {name: mirrors[name].value for name in self.COUNTER_FIELDS}
-        for name, mirror in mirrors.items():
-            mirror.set_total(bases[name] + getattr(self, name))
-        for kind, count in self.faults_by_class.items():
-            child = fault_mirror.labels(kind=kind)
-            child.set_total(child.value + count)
-        for rule, count in self.static_rejects_by_rule.items():
-            child = static_mirror.labels(rule=rule)
-            child.set_total(child.value + count)
-        self.__dict__["_mirrors"] = mirrors
-        self.__dict__["_mirror_bases"] = bases
-        self.__dict__["_fault_mirror"] = fault_mirror
-        self.__dict__["_static_mirror"] = static_mirror
-
-    def __setattr__(self, name: str, value) -> None:
-        super().__setattr__(name, value)
-        mirrors = self.__dict__.get("_mirrors")
-        if mirrors is not None and name in mirrors:
-            mirrors[name].set_total(self.__dict__["_mirror_bases"][name] + value)
 
     def count_fault(self, kind: str) -> None:
-        """Record one absorbed fault (keeps the labeled mirror in step —
-        in-place dict mutation would bypass ``__setattr__``)."""
+        """Record one absorbed fault."""
         self.faults_by_class[kind] = self.faults_by_class.get(kind, 0) + 1
-        fault_mirror = self.__dict__.get("_fault_mirror")
-        if fault_mirror is not None:
-            fault_mirror.labels(kind=kind).inc()
 
     def count_static_reject(self, rule: str) -> None:
         """Record one statically rejected candidate under its rule id."""
@@ -235,9 +203,6 @@ class TuningStats:
         self.static_rejects_by_rule[rule] = (
             self.static_rejects_by_rule.get(rule, 0) + 1
         )
-        static_mirror = self.__dict__.get("_static_mirror")
-        if static_mirror is not None:
-            static_mirror.labels(rule=rule).inc()
 
     @property
     def pruned(self) -> int:
@@ -258,7 +223,7 @@ class TuningStats:
         return self.generated / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        d = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        d = dict(self.__dict__)
         d["pruned"] = self.pruned
         d["cache_hit_rate"] = self.cache_hit_rate
         d["candidates_per_s"] = self.candidates_per_s
@@ -271,7 +236,7 @@ class TuningStats:
         equal comparable dicts regardless of worker count or machine
         speed — the determinism tests rely on this.
         """
-        d = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        d = dict(self.__dict__)
         for key in _WALL_CLOCK_FIELDS:
             d.pop(key, None)
         return d
@@ -387,7 +352,7 @@ class SearchEngine:
         self.config = config or TuningConfig()
         self.restrictions = restrictions or SpaceRestrictions()
         #: Telemetry (see :mod:`repro.obs`): per-stage spans plus the
-        #: metrics registry the stats mirror into.  Disabled by default.
+        #: metrics registry that exports the stats.  Disabled by default.
         self.obs = obs if obs is not None else NULL_OBS
         self.stats = TuningStats()
         if self.obs.enabled:

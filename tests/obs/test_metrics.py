@@ -19,14 +19,6 @@ class TestCounter:
         with pytest.raises(ValueError, match="only go up"):
             c.inc(-1)
 
-    def test_set_total_rejects_backwards_movement(self):
-        c = Counter("requests_total")
-        c.set_total(10)
-        with pytest.raises(ValueError, match="cannot move backwards"):
-            c.set_total(9)
-        c.set_total(10)  # idempotent re-assert is fine
-        assert c.value == 10
-
     def test_labeled_series_are_independent(self):
         c = Counter("served_total", labelnames=("rung",))
         c.labels(rung="tuned").inc()

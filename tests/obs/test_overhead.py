@@ -27,8 +27,8 @@ from repro.serve.soak import SoakConfig, run_soak
 
 #: Instrumented hooks a single served request traverses with telemetry
 #: off: the request root, two gates, one-to-four rung spans, a breaker
-#: span, verification, bridging, and the counter-mirror attribute
-#: checks.  Twenty is a deliberate overcount.
+#: span, verification and bridging.  Counters cost no hook: the registry
+#: reads them only when it is read.  Twenty is a deliberate overcount.
 HOOKS_PER_REQUEST = 20
 
 #: The acceptance budget: disabled telemetry within 2% of baseline.

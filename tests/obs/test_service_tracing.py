@@ -197,6 +197,18 @@ class TestCounterMirroring:
         assert registry.get("serve_served_by_rung_total") \
             .labels(rung="tuned").value == 2
 
+    def test_in_place_rung_mutation_is_exported(self):
+        from repro.obs import MetricsRegistry
+
+        # The fields are the only store: a write that bypasses
+        # ``count_rung`` still reaches the registry.
+        counters = ServiceCounters()
+        registry = MetricsRegistry()
+        counters.bind_registry(registry)
+        counters.served_by_rung["direct"] = 4
+        assert registry.get("serve_served_by_rung_total") \
+            .labels(rung="direct").value == 4
+
     def test_as_dict_stays_clean_after_binding(self):
         from repro.obs import MetricsRegistry
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.clsim.faults import FaultInjector, FaultPlan
+from repro.errors import SearchInterrupted
 from repro.obs import MetricsRegistry, Observability
 from repro.tuner.cache import MeasurementCache
 from repro.tuner.search import SearchEngine, TuningConfig, TuningStats
@@ -111,6 +114,18 @@ class TestTuningStatsBinding:
         fresh.generated = 7
         assert registry.get("tuner_generated_total").value == 107
 
+    def test_in_place_dict_mutation_is_exported(self):
+        # The fields are the only store: writes that bypass the
+        # ``count_*`` helpers still reach the registry.
+        stats = TuningStats()
+        registry = MetricsRegistry()
+        stats.bind_registry(registry)
+        stats.faults_by_class["timing"] = 3
+        stats.static_rejects_by_rule["device.occupancy"] = 2
+        assert registry.get("tuner_faults_total").labels(kind="timing").value == 3
+        assert registry.get("tuner_static_rejects_total") \
+            .labels(rule="device.occupancy").value == 2
+
     def test_serialization_stays_clean_after_binding(self):
         stats = TuningStats()
         stats.bind_registry(MetricsRegistry())
@@ -120,3 +135,34 @@ class TestTuningStatsBinding:
             assert not any(k.startswith("_") for k in d)
         clone = TuningStats.from_dict(stats.as_dict())
         assert clone.generated == 3
+
+
+class TestResumedSearchMetrics:
+    def test_totals_sum_the_pre_restore_and_restored_stats(self, tmp_path):
+        path = str(tmp_path / "search.ckpt")
+        config = TuningConfig(budget=250, verify_finalists=1, top_k=8)
+
+        def injector():
+            return FaultInjector(FaultPlan.parse("build:0.1,launch:0.1", seed=7))
+
+        interrupted = SearchEngine("tahiti", "d", config, injector=injector(),
+                                   checkpoint_path=path, checkpoint_every=40)
+        interrupted.abort_after = 120
+        with pytest.raises(SearchInterrupted):
+            interrupted.run()
+
+        obs = Observability(seed=0)
+        engine = SearchEngine("tahiti", "d", config, injector=injector(),
+                              checkpoint_path=path, resume=True, obs=obs)
+        pre_restore = engine.stats
+        engine.run()
+        assert engine.stats is not pre_restore
+        assert engine.stats.resumed > 0
+        for name in TuningStats.COUNTER_FIELDS:
+            assert obs.metrics.get(f"tuner_{name}_total").value \
+                == getattr(pre_restore, name) + getattr(engine.stats, name), name
+        assert engine.stats.faults_by_class, "fault plan injected nothing"
+        faults = obs.metrics.get("tuner_faults_total")
+        for kind, count in engine.stats.faults_by_class.items():
+            assert faults.labels(kind=kind).value \
+                == pre_restore.faults_by_class.get(kind, 0) + count

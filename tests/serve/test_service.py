@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.clsim.faults import FaultInjector, FaultPlan, FaultRule
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, InvalidRequestError
 from repro.gemm.reference import reference_gemm, relative_error
 from repro.serve import BreakerState, GemmService, IncidentLog, ServiceConfig
 
@@ -73,6 +73,25 @@ class TestBetaZero:
         assert service.quarantined == ()
         # The next clean request still lands on the tuned kernel.
         assert service.submit(a, b).rung == "tuned"
+
+
+class TestNonFiniteOperands:
+    def test_nan_operand_is_rejected_not_blamed_on_the_kernel(self, problem):
+        service = GemmService("tahiti", "d")
+        a, b = problem
+        poisoned = a.copy()
+        poisoned[3, 5] = np.nan
+        with pytest.raises(InvalidRequestError) as exc:
+            service.submit(poisoned, b)
+        assert exc.value.argument == "a"
+        assert service.counters.invalid == 1
+        assert service.counters.corruption_caught == 0
+        assert service.counters.quarantined == 0
+        assert service.quarantined == ()
+        # The next clean request still lands on the tuned kernel.
+        result = service.submit(a, b)
+        assert result.rung == "tuned"
+        assert not result.degraded
 
 
 class TestAdmission:
