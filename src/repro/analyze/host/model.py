@@ -30,6 +30,9 @@ _PRAGMA_RE = re.compile(
     r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_.\-]+(?:\s*,\s*[A-Za-z0-9_.\-]+)*)\s*\)"
 )
 
+#: Line ends as the parser (and ``ast.get_source_segment``) splits them.
+_LINE_END_RE = re.compile(rb"\r\n?|\n")
+
 
 def _pragma_index(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
     index: Dict[int, FrozenSet[str]] = {}
@@ -78,11 +81,23 @@ class LintSource:
     lines: List[str] = field(default_factory=list)
     imports: Dict[str, str] = field(default_factory=dict)
     pragmas: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    #: ``text`` as UTF-8 (AST column offsets count its bytes) and the
+    #: byte offset of each line start, lines split as the parser splits
+    #: them.  :meth:`segment` slices these in O(node) instead of
+    #: re-splitting the whole file per call like
+    #: ``ast.get_source_segment``.
+    data: bytes = b""
+    line_starts: List[int] = field(default_factory=list)
 
     def segment(self, node: ast.AST) -> str:
-        """Source text of a node ("" when unavailable)."""
+        """Source text of a node ("" when unavailable); the same text
+        ``ast.get_source_segment`` returns."""
         try:
-            return ast.get_source_segment(self.text, node) or ""
+            if node.end_lineno is None or node.end_col_offset is None:
+                return ""
+            start = self.line_starts[node.lineno - 1] + node.col_offset
+            end = self.line_starts[node.end_lineno - 1] + node.end_col_offset
+            return self.data[start:end].decode()
         except Exception:
             return ""  # cosmetic only: a finding without source text
 
@@ -104,6 +119,7 @@ def parse_source(text: str, relpath: str) -> LintSource:
     """Parse one file's text into the lint model (raises SyntaxError)."""
     tree = ast.parse(text)
     lines = text.splitlines()
+    data = text.encode()
     return LintSource(
         relpath=relpath.replace("\\", "/"),
         text=text,
@@ -111,6 +127,8 @@ def parse_source(text: str, relpath: str) -> LintSource:
         lines=lines,
         imports=_import_table(tree),
         pragmas=_pragma_index(lines),
+        data=data,
+        line_starts=[0] + [m.end() for m in _LINE_END_RE.finditer(data)],
     )
 
 

@@ -93,7 +93,8 @@ class CounterDecrementRule(HostRule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not isinstance(func, ast.Attribute):
+            if not isinstance(func, ast.Attribute) or func.attr not in (
+                    "dec", "inc"):
                 continue
             receiver = src.segment(func.value)
             if func.attr == "dec" and _COUNTER_RECEIVER_RE.search(receiver):

@@ -14,10 +14,13 @@ rounding, not bit-for-bit, because they accumulate in different orders
   with one stacked ``np.matmul``; one un-permute through the ownership
   maps merges the result with alpha/beta.  Index-arithmetic mistakes
   anywhere in the stack produce numerically wrong output.
-* ``fast`` — whole-matrix: unpacks the operands from their layouts and
-  issues one BLAS-3 call.  Used for large benchmark problems where the
-  faithful path's per-k-chunk gathers, copies and small products would
-  dominate.
+* ``fast`` — whole-matrix: reads each operand as its logical ``K x X``
+  matrix and issues one BLAS-3 call.  An operand a pack kernel wrote is
+  still held as the matrix the kernel staged, so it is neither packed
+  nor unpacked on the host; other operands are reshaped (``ROW``) or
+  unpacked from their layouts.  Used for large benchmark problems where
+  the faithful path's per-k-chunk gathers, copies and small products
+  would dominate.
 
 Both are differentially tested against the gold standard, the
 executable spec (:func:`repro.spec.machine.run_kernel`), which
@@ -37,10 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.clsim.memory import Buffer
 from repro.codegen.algorithms import Algorithm
-from repro.codegen.layouts import tile_view
+from repro.codegen.layouts import Layout, tile_view, unpack_matrix
 from repro.codegen.plan import KernelPlan
-from repro.codegen.layouts import unpack_matrix
 from repro.errors import LaunchError
 
 __all__ = ["execute_plan", "ExecutionArrays"]
@@ -66,33 +69,74 @@ def _clipped_tile(
 
 
 class ExecutionArrays:
-    """Validated, shaped views of the kernel's buffer arguments."""
+    """Validated, shaped views of the kernel's buffer arguments.
+
+    ``a`` and ``b`` are flat packed arrays or the memory objects
+    (:class:`~repro.clsim.memory.Buffer`, ``Image2D``) bound to the
+    kernel.  A memory object's contents are read only when a path asks
+    for them: :attr:`a`/:attr:`b` give the flat packed contents, and
+    :meth:`logical` gives the ``K x X`` matrix without building them
+    when a pack kernel's staged matrix is still held.
+    """
 
     def __init__(
         self,
         plan: KernelPlan,
-        a_flat: np.ndarray,
-        b_flat: np.ndarray,
+        a,
+        b,
         c_flat: np.ndarray,
         M: int,
         N: int,
         K: int,
     ):
         dtype = plan.dtype
-        for name, arr, n in (("A", a_flat, K * M), ("B", b_flat, K * N), ("C", c_flat, M * N)):
+        for name, arr, n in (("A", a, K * M), ("B", b, K * N), ("C", c_flat, M * N)):
+            size = arr.size if isinstance(arr, np.ndarray) else (
+                arr.size // arr.dtype.itemsize)
             if arr.dtype != dtype:
                 raise LaunchError(
                     f"{name} buffer dtype {arr.dtype} does not match kernel "
                     f"precision {dtype}"
                 )
-            if arr.size != n:
+            if size != n:
                 raise LaunchError(
-                    f"{name} buffer has {arr.size} elements; kernel expects {n}"
+                    f"{name} buffer has {size} elements; kernel expects {n}"
                 )
-        self.a = a_flat
-        self.b = b_flat
+        self._a = a
+        self._b = b
         self.c = c_flat.reshape(M, N)
         self.M, self.N, self.K = M, N, K
+
+    @property
+    def a(self) -> np.ndarray:
+        """Flat packed contents of the A operand."""
+        return _flat(self._a)
+
+    @property
+    def b(self) -> np.ndarray:
+        """Flat packed contents of the B operand."""
+        return _flat(self._b)
+
+    def logical(self, which: str, layout: Layout, bk: int, bx: int) -> np.ndarray:
+        """Operand ``which`` ("a" or "b") as its ``K x X`` matrix.
+
+        A pack kernel's held matrix when its layout and blocking match;
+        otherwise the packed contents, reshaped (``ROW``: a view) or
+        unpacked.
+        """
+        mem, X = (self._a, self.M) if which == "a" else (self._b, self.N)
+        if isinstance(mem, Buffer):
+            staged = mem.held(layout, bk, bx)
+            if staged is not None and staged.shape == (self.K, X):
+                return staged
+        flat = _flat(mem)
+        if layout is Layout.ROW:
+            return flat.reshape(self.K, X)
+        return unpack_matrix(flat, layout, self.K, X, bk, bx)
+
+
+def _flat(mem) -> np.ndarray:
+    return mem if isinstance(mem, np.ndarray) else mem.flat_array
 
 
 def execute_plan(
@@ -134,10 +178,14 @@ def _corrupt_result(plan: KernelPlan, arrays: ExecutionArrays) -> None:
 
 def _execute_fast(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
     p = plan.params
-    at = unpack_matrix(ar.a, p.layout_a, ar.K, ar.M, p.kwg, p.mwg)
-    b = unpack_matrix(ar.b, p.layout_b, ar.K, ar.N, p.kwg, p.nwg)
+    at = ar.logical("a", p.layout_a, p.kwg, p.mwg)
+    b = ar.logical("b", p.layout_b, p.kwg, p.nwg)
+    # The product is taken before C is scaled: a ROW operand is a view of
+    # its buffer, which may be C's.
+    prod = at.T @ b
+    prod *= plan.dtype.type(alpha)
     ar.c *= plan.dtype.type(beta)
-    ar.c += plan.dtype.type(alpha) * (at.T @ b)
+    ar.c += prod
 
 
 class _Grid:

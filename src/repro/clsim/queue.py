@@ -226,7 +226,7 @@ class CommandQueue:
         mode = self._resolve_mode(M, N, K)
         if mode is not ExecutionMode.TIMING_ONLY:
             arrays = ExecutionArrays(
-                kernel.plan, agm.flat_array, bgm.flat_array, cgm.flat_array, M, N, K
+                kernel.plan, agm, bgm, cgm.flat_array, M, N, K
             )
             execute_plan(
                 kernel.plan, arrays, alpha, beta, mode=mode.value,
@@ -258,11 +258,13 @@ class CommandQueue:
         )
         mode = self._resolve_mode(src_rows, src_cols, 1)
         if mode is not ExecutionMode.TIMING_ONLY:
-            packed = plan.execute(
+            # The destination keeps the logical matrix; its packed
+            # contents are built only if something reads them.
+            staged = plan.stage(
                 src.array.view(plan.dtype)[: src_rows * src_cols],
                 src_rows, src_cols, k_padded, x_padded,
             )
-            dst.array[:] = packed.view(dst.dtype)
+            dst.hold(staged, plan.layout, plan.block_k, plan.block_x)
         start, end = self._advance(seconds, engine="compute", wait_for=wait_for)
         return Event("pack_kernel", EventProfile(start, start, start, end))
 

@@ -103,7 +103,7 @@ class PackPlan:
             )
 
     # -- functional execution ----------------------------------------------
-    def execute(
+    def stage(
         self,
         src: np.ndarray,
         rows: int,
@@ -111,9 +111,8 @@ class PackPlan:
         k_padded: int,
         x_padded: int,
     ) -> np.ndarray:
-        """Run the pack: returns the flat packed destination contents."""
-        from repro.codegen.layouts import pack_matrix
-
+        """Orient and zero-pad the source: the ``k_padded x x_padded``
+        logical matrix the pack writes, before block-major ordering."""
         self.check_destination(k_padded, x_padded)
         mat = src.reshape(rows, cols)
         kx = mat.T if self.transpose else mat
@@ -125,7 +124,21 @@ class PackPlan:
             )
         staging = np.zeros((k_padded, x_padded), dtype=self.dtype)
         staging[:K, :X] = kx
-        return pack_matrix(staging, self.layout, self.block_k, self.block_x)
+        return staging
+
+    def execute(
+        self,
+        src: np.ndarray,
+        rows: int,
+        cols: int,
+        k_padded: int,
+        x_padded: int,
+    ) -> np.ndarray:
+        """Run the pack: returns the flat packed destination contents."""
+        from repro.codegen.layouts import pack_matrix
+
+        staged = self.stage(src, rows, cols, k_padded, x_padded)
+        return pack_matrix(staged, self.layout, self.block_k, self.block_x)
 
 
 def _offset_expr(layout: Layout, bk: int, bx: int) -> str:

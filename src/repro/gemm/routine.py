@@ -421,18 +421,18 @@ class GemmRoutine:
                 self.kernel.plan.local_size(),
             )
             kernel_s = event.profile.duration * 1e-9 * self._kernel_time_factor()
-            out_padded = cbuf.read().reshape(Mp, Np)
+            # -- crop step: straight from the buffer, whose store is the
+            # fresh c_work, so the result aliases nothing the caller owns.
+            result_c = crop_c(cbuf.array.reshape(Mp, Np), M, N)
         finally:
             for buf in (abuf, bbuf, cbuf):
                 buf.release()
 
-        # -- crop step ---------------------------------------------------------
         copy_out_s = 0.0
         if (Mp, Np) != (M, N):
             copy_out_s = estimate_copy_time(
                 self.device.spec, float(M * N * self.dtype.itemsize)
             )
-        result_c = crop_c(out_padded, M, N)
 
         return GemmResult(
             c=result_c,

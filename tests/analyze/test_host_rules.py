@@ -277,6 +277,31 @@ class TestCounterDecrementRule:
                 counter.inc(1)
         """, rule="host.obs.counter-dec") == []
 
+    def test_multi_line_receiver_witness(self):
+        found = findings_of(
+            "def drop(stats):\r\n    stats['é'].request_counter.dec(\r\n    )\r\n",
+            rule="host.obs.counter-dec",
+        )
+        assert [f.witness["receiver"] for f in found] == [
+            "stats['é'].request_counter"]
+
+
+class TestSourceSegment:
+    def test_segment_is_ast_get_source_segment(self):
+        # Line ends of every kind, multi-byte characters and multi-line
+        # nodes: the offset table must slice exactly what the stdlib does.
+        import ast
+
+        from repro.analyze.host.model import parse_source
+
+        text = ("x = 'é€'\r\ny = f(\r\n  'ü', 2)\rz = [1,\n 2]\n"
+                "s = '''\nµ\n'''.join(q)\r\nw = obs.trace(\n    'naïve',\n)")
+        src = parse_source(text, "repro/fixture.py")
+        nodes = [n for n in ast.walk(src.tree) if hasattr(n, "end_lineno")]
+        assert len(nodes) > 20
+        for node in nodes:
+            assert src.segment(node) == ast.get_source_segment(text, node)
+
 
 class TestExceptionRules:
     def test_bare_except_flagged(self):

@@ -440,6 +440,29 @@ class TestDrainAndValidation:
         assert service.counters.invalid == 2
         assert service.counters.quarantined == 0
 
+    def test_fp32_product_overflow_is_served_by_the_tuned_kernel(self, rng):
+        # Finite fp32 operands whose product overflows give Inf on every
+        # rung; verification in the coalesced dispatch path must pass it,
+        # quarantine nothing, and leave the next requests on `tuned`.
+        service = GemmService(
+            "tahiti", "s", params={"tahiti": make_params(precision="s")},
+        )
+        sched = AsyncScheduler(service, [TenantConfig("x"), TenantConfig("y")])
+        big = np.full((64, 64), 1e20, dtype=np.float32)
+        a = rng.standard_normal((64, 64)).astype(np.float32)
+        with np.errstate(over="ignore"):
+            poisoned = sched.submit("x", big, big)
+            first = sched.submit("y", a, a)  # co-batched with the overflow
+            sched.pump()
+        assert service.counters.batches == 1
+        assert poisoned.result.rung == first.result.rung == "tuned"
+        assert np.isinf(poisoned.result.c).all()
+        assert service.counters.quarantined == 0
+        assert service.counters.corruption_caught == 0
+        tickets = [sched.submit(t, a, a) for t in ("x", "y")]
+        assert sched.drain() == {"served": 4}
+        assert [t.result.rung for t in tickets] == ["tuned"] * 2
+
 
 class TestDeterminism:
     def test_chaos_schedule_is_bit_identical(self):

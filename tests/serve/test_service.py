@@ -94,6 +94,27 @@ class TestNonFiniteOperands:
         assert not result.degraded
 
 
+class TestProductOverflow:
+    def test_overflowing_product_is_not_blamed_on_the_kernel(self, rng):
+        # Finite fp32 operands whose product overflows: every rung
+        # honestly returns Inf, so verification must pass it instead of
+        # quarantining the tuned kernel.
+        service = GemmService("tahiti", "s")
+        big = np.full((64, 64), 1e20, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            result = service.submit(big, big)
+        assert result.rung == "tuned"
+        assert result.verified
+        assert np.isinf(result.c).all()
+        assert service.counters.corruption_caught == 0
+        assert service.counters.quarantined == 0
+        assert service.quarantined == ()
+        a = rng.standard_normal((64, 64)).astype(np.float32)
+        result = service.submit(a, a)
+        assert result.rung == "tuned"
+        assert not result.degraded
+
+
 class TestAdmission:
     def test_backlog_overflow_sheds_with_a_typed_error(self, problem):
         config = ServiceConfig(max_backlog_s=0.0)

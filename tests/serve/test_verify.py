@@ -116,6 +116,42 @@ class TestDetection:
         assert rate6 > rate2
 
 
+class TestNonFiniteResponses:
+    """Non-finite output is judged against the reference, not blamed."""
+
+    def _overflowing(self, rng):
+        a = rng.standard_normal((32, 24)).astype(np.float32)
+        b = rng.standard_normal((24, 16)).astype(np.float32)
+        a[:4] = 1e20
+        b[:, :3] = 1e20
+        with np.errstate(over="ignore"):
+            honest = reference_gemm("N", "N", 1.0, a, b, 0.0)
+        assert not np.isfinite(honest).all() and np.isfinite(honest).any()
+        return a, b, honest
+
+    def test_honest_partial_overflow_passes(self, rng):
+        a, b, honest = self._overflowing(rng)
+        verifier = FreivaldsVerifier(seed=3)
+        assert verifier.check(a, b, honest).passed
+        # The same product through op(A) = A^T.
+        assert verifier.check(a.T.copy(), b, honest, transa="T").passed
+
+    def test_nan_tile_over_finite_reference_fails(self, rng):
+        a, b, honest = self._overflowing(rng)
+        corrupt = honest.copy()
+        corrupt[-2:, -2:] = np.nan
+        check = FreivaldsVerifier(seed=3).check(a, b, corrupt)
+        assert not check.passed
+        assert (check.rounds, check.max_residual, check.tolerance) == (
+            0, float("inf"), 0.0)
+
+    def test_wrong_finite_entries_fail(self, rng):
+        a, b, honest = self._overflowing(rng)
+        wrong = honest.copy()
+        wrong[np.isfinite(wrong)] *= 2.0
+        assert not FreivaldsVerifier(seed=3).check(a, b, wrong).passed
+
+
 class TestDeterminism:
     def test_same_key_same_verdict(self, rng):
         a, b = _problem(rng, 20, 20, 20, np.float64)
