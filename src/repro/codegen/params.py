@@ -31,6 +31,7 @@ as "failed in code generation".
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -76,14 +77,43 @@ class StrideMode:
         return cls(m="M" in parts, n="N" in parts)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ParameterError(message)
+def _once(method):
+    """Compute a zero-argument method of a frozen instance on first call.
+
+    The value is kept in the instance ``__dict__``, outside the dataclass
+    fields, so equality, hashing and repr ignore it.  ``replace``,
+    ``from_dict`` and ``from_json`` build fresh instances; a pickle
+    carries the value along with the fields it derives from.
+    """
+    slot = "_once_" + method.__name__
+
+    @functools.wraps(method)
+    def once(self):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = method(self)
+            return value
+
+    return once
+
+
+#: Integer fields, held to the constraint prover's field rule: an ``int``
+#: that is not a ``bool`` (``64.0`` would compare equal to ``64`` yet
+#: serialise, and so key caches, differently).
+_INT_FIELDS = ("mwg", "nwg", "kwg", "mdimc", "ndimc", "kwi", "vw", "mdima", "ndimb")
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """A validated point in the code generator's parameter space."""
+    """A validated point in the code generator's parameter space.
+
+    Construction checks every rule and formats a message only for the
+    rule that fails.  The fields are frozen, so the values the tuner
+    reads many times per candidate -- :meth:`cache_key`, :meth:`to_json`,
+    :meth:`local_memory_bytes`, :meth:`private_elements` and
+    :meth:`private_bytes` -- are each computed at most once per instance.
+    """
 
     precision: str
     mwg: int
@@ -115,13 +145,25 @@ class KernelParams:
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        _require(self.precision in PRECISION_SIZES, f"precision must be 's' or 'd', got {self.precision!r}")
+        # Each rule formats its message only when it fails: most vectors
+        # an enumeration proposes are checked and most checks pass.
+        if self.precision not in PRECISION_SIZES:
+            raise ParameterError(f"precision must be 's' or 'd', got {self.precision!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"field {name!r} must be an integer")
         for name in ("mwg", "nwg", "kwg", "mdimc", "ndimc", "kwi"):
-            _require(getattr(self, name) >= 1, f"{name} must be >= 1")
-        _require(self.vw in VALID_VECTOR_WIDTHS, f"vector width {self.vw} not in {VALID_VECTOR_WIDTHS}")
-        _require(self.mwg % self.mdimc == 0, f"mwg={self.mwg} not divisible by mdimc={self.mdimc}")
-        _require(self.nwg % self.ndimc == 0, f"nwg={self.nwg} not divisible by ndimc={self.ndimc}")
-        _require(self.kwg % self.kwi == 0, f"kwg={self.kwg} not divisible by kwi={self.kwi}")
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+        if self.vw not in VALID_VECTOR_WIDTHS:
+            raise ParameterError(f"vector width {self.vw} not in {VALID_VECTOR_WIDTHS}")
+        if self.mwg % self.mdimc:
+            raise ParameterError(f"mwg={self.mwg} not divisible by mdimc={self.mdimc}")
+        if self.nwg % self.ndimc:
+            raise ParameterError(f"nwg={self.nwg} not divisible by ndimc={self.ndimc}")
+        if self.kwg % self.kwi:
+            raise ParameterError(f"kwg={self.kwg} not divisible by kwi={self.kwi}")
 
         # Canonicalise the staging reshape parameters: they only exist for
         # matrices staged through local memory.
@@ -132,61 +174,72 @@ class KernelParams:
 
         mwi, nwi = self.mwi, self.nwi
         if self.vw > 1:
-            _require(mwi % self.vw == 0, f"mwi={mwi} not divisible by vector width {self.vw}")
-            _require(nwi % self.vw == 0, f"nwi={nwi} not divisible by vector width {self.vw}")
+            if mwi % self.vw:
+                raise ParameterError(f"mwi={mwi} not divisible by vector width {self.vw}")
+            if nwi % self.vw:
+                raise ParameterError(f"nwi={nwi} not divisible by vector width {self.vw}")
 
         wg = self.workgroup_size
         if self.shared_a:
             mdima = self.effective_mdima
-            _require(wg % mdima == 0, f"work-group size {wg} not divisible by mdima={mdima}")
+            if wg % mdima:
+                raise ParameterError(f"work-group size {wg} not divisible by mdima={mdima}")
             kdima = wg // mdima
-            _require(self.mwg % mdima == 0, f"mwg={self.mwg} not divisible by mdima={mdima}")
-            _require(self.kwg % kdima == 0, f"kwg={self.kwg} not divisible by kdima={kdima}")
+            if self.mwg % mdima:
+                raise ParameterError(f"mwg={self.mwg} not divisible by mdima={mdima}")
+            if self.kwg % kdima:
+                raise ParameterError(f"kwg={self.kwg} not divisible by kdima={kdima}")
         if self.shared_b:
             ndimb = self.effective_ndimb
-            _require(wg % ndimb == 0, f"work-group size {wg} not divisible by ndimb={ndimb}")
+            if wg % ndimb:
+                raise ParameterError(f"work-group size {wg} not divisible by ndimb={ndimb}")
             kdimb = wg // ndimb
-            _require(self.nwg % ndimb == 0, f"nwg={self.nwg} not divisible by ndimb={ndimb}")
-            _require(self.kwg % kdimb == 0, f"kwg={self.kwg} not divisible by kdimb={kdimb}")
+            if self.nwg % ndimb:
+                raise ParameterError(f"nwg={self.nwg} not divisible by ndimb={ndimb}")
+            if self.kwg % kdimb:
+                raise ParameterError(f"kwg={self.kwg} not divisible by kdimb={kdimb}")
 
-        if self.use_images:
-            # Image objects are addressed by 2-D texel coordinates, so
-            # block-major host layouts are meaningless for them.
-            _require(
-                self.layout_a is Layout.ROW and self.layout_b is Layout.ROW,
+        row_layouts = self.layout_a is Layout.ROW and self.layout_b is Layout.ROW
+        # Image objects are addressed by 2-D texel coordinates, so
+        # block-major host layouts are meaningless for them.
+        if self.use_images and not row_layouts:
+            raise ParameterError(
                 "image-object kernels address operands as 2-D textures; "
-                "layouts must be ROW",
+                "layouts must be ROW"
             )
-        if self.guard_edges:
-            # Partial tiles cannot be block-major packed: guarded kernels
-            # read the operands as the user stored them.
-            _require(
-                self.layout_a is Layout.ROW and self.layout_b is Layout.ROW,
-                "edge-guarded kernels read unpacked operands; layouts must be ROW",
+        # Partial tiles cannot be block-major packed: guarded kernels
+        # read the operands as the user stored them.
+        if self.guard_edges and not row_layouts:
+            raise ParameterError(
+                "edge-guarded kernels read unpacked operands; layouts must be ROW"
             )
 
         if self.algorithm is Algorithm.DB:
-            _require(
-                self.shared_a or self.shared_b,
-                "DB algorithm double-buffers local memory; at least one matrix must be shared",
-            )
+            if not (self.shared_a or self.shared_b):
+                raise ParameterError(
+                    "DB algorithm double-buffers local memory; at least one matrix must be shared"
+                )
             half = self.kwg // 2
-            _require(self.kwg % 2 == 0, "DB requires an even kwg (two half-buffers)")
-            _require(half % self.kwi == 0, f"DB half-buffer kwg/2={half} not divisible by kwi={self.kwi}")
+            if self.kwg % 2:
+                raise ParameterError("DB requires an even kwg (two half-buffers)")
+            if half % self.kwi:
+                raise ParameterError(
+                    f"DB half-buffer kwg/2={half} not divisible by kwi={self.kwi}"
+                )
             if self.shared_a:
                 kdima = self.workgroup_size // self.effective_mdima
-                _require(
-                    (half % kdima == 0),
-                    "DB requires each half tile of A to be loadable by the work-group "
-                    f"(kwg/2={half} not divisible by kdima={kdima})",
-                )
+                if half % kdima:
+                    raise ParameterError(
+                        "DB requires each half tile of A to be loadable by the work-group "
+                        f"(kwg/2={half} not divisible by kdima={kdima})"
+                    )
             if self.shared_b:
                 kdimb = self.workgroup_size // self.effective_ndimb
-                _require(
-                    (half % kdimb == 0),
-                    "DB requires each half tile of B to be loadable by the work-group "
-                    f"(kwg/2={half} not divisible by kdimb={kdimb})",
-                )
+                if half % kdimb:
+                    raise ParameterError(
+                        "DB requires each half tile of B to be loadable by the work-group "
+                        f"(kwg/2={half} not divisible by kdimb={kdimb})"
+                    )
 
     # -- derived quantities (paper notation) ----------------------------
     @property
@@ -257,6 +310,7 @@ class KernelParams:
         return math.lcm(self.mwg, self.nwg, self.kwg)
 
     # -- resource footprints --------------------------------------------
+    @_once
     def local_memory_bytes(self) -> int:
         """Local-memory footprint of one work-group."""
         copies = self.algorithm.local_buffer_copies
@@ -267,6 +321,7 @@ class KernelParams:
             total += self.nwg * self.kwg
         return total * self.element_size * copies
 
+    @_once
     def private_elements(self) -> int:
         """Per-work-item private-memory footprint in matrix elements.
 
@@ -287,6 +342,7 @@ class KernelParams:
                 staging += self.kwib * self.nwib
         return acc + frags + staging
 
+    @_once
     def private_bytes(self) -> int:
         """Per-work-item private footprint in bytes (plus address overhead)."""
         scalar_overhead = 16 * 4  # loop counters, base pointers, ids
@@ -314,6 +370,7 @@ class KernelParams:
         d["algorithm"] = Algorithm(d.get("algorithm", "BA"))
         return cls(**d)
 
+    @_once
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
@@ -362,6 +419,7 @@ class KernelParams:
             "Algorithm": self.algorithm.value,
         }
 
+    @_once
     def cache_key(self) -> Tuple:
         """Hashable identity for result databases."""
         return (

@@ -11,10 +11,17 @@ simulator's "compiler" can reconstruct it.
 Building a plan *proves* structural correctness of the parameter vector:
 the ownership maps are verified to be exact bijections onto the C tile,
 and the staging grids are verified to cover the A/B tiles exactly once.
+An ownership map is a pure function of its ``(dim, wi, vw, nonunit)``
+geometry, so each distinct geometry is proved once per process and its
+verified, read-only map is shared by every plan with that geometry (a
+tune's thousands of candidates have about a hundred geometries).  A
+geometry that fails the proof is not remembered; it fails again on
+every build.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -49,13 +56,33 @@ def ownership_map(dim: int, wi: int, vw: int, nonunit: bool) -> np.ndarray:
     return ((a // vw) * (vw * dim) + i * vw + (a % vw)).astype(np.int64)
 
 
-def _verify_bijection(owner: np.ndarray, extent: int, what: str) -> None:
+@functools.lru_cache(maxsize=1024)
+def _proved_ownership(dim: int, wi: int, vw: int, nonunit: bool) -> np.ndarray:
+    """The ownership map of one geometry, verified to be a bijection.
+
+    Cached per geometry, so the returned array is shared and read-only.
+    The bound is far above the 110 geometries in the full search spaces
+    of every catalog device and precision.  A failing geometry raises
+    and is not cached.
+    """
+    owner = ownership_map(dim, wi, vw, nonunit)
+    extent = dim * wi
     flat = np.sort(owner.reshape(-1))
     if flat.size != extent or not np.array_equal(flat, np.arange(extent)):
         raise ParameterError(
-            f"{what} ownership map is not a bijection onto [0, {extent}): "
+            f"ownership map is not a bijection onto [0, {extent}): "
             f"covered {np.unique(owner).size} of {extent} indices"
         )
+    owner.flags.writeable = False
+    return owner
+
+
+def _verified_ownership(dim: int, wi: int, vw: int, nonunit: bool, what: str) -> np.ndarray:
+    """:func:`_proved_ownership`, naming the direction ``what`` on failure."""
+    try:
+        return _proved_ownership(dim, wi, vw, nonunit)
+    except ParameterError as exc:
+        raise ParameterError(f"{what} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -97,9 +124,11 @@ class KernelPlan:
     """Executable description of one generated GEMM kernel."""
 
     params: KernelParams
-    #: (mdimc, mwi) map: C-tile row owned by lane i, element a.
+    #: (mdimc, mwi) map: C-tile row owned by lane i, element a
+    #: (read-only: shared by every plan with this geometry).
     row_owner: np.ndarray
-    #: (ndimc, nwi) map: C-tile column owned by lane j, element b.
+    #: (ndimc, nwi) map: C-tile column owned by lane j, element b
+    #: (read-only, shared likewise).
     col_owner: np.ndarray
     #: Staging geometry for A when ``shared_a`` (else None).
     staging_a: StagingGeometry | None
@@ -172,10 +201,10 @@ class KernelPlan:
 
 def build_plan(params: KernelParams) -> KernelPlan:
     """Construct and verify the executable plan for a parameter vector."""
-    row_owner = ownership_map(params.mdimc, params.mwi, params.vw, params.stride.m)
-    col_owner = ownership_map(params.ndimc, params.nwi, params.vw, params.stride.n)
-    _verify_bijection(row_owner, params.mwg, "row (M)")
-    _verify_bijection(col_owner, params.nwg, "column (N)")
+    row_owner = _verified_ownership(
+        params.mdimc, params.mwi, params.vw, params.stride.m, "row (M)")
+    col_owner = _verified_ownership(
+        params.ndimc, params.nwi, params.vw, params.stride.n, "column (N)")
 
     staging_a = None
     if params.shared_a:

@@ -24,43 +24,74 @@ def _base_raw(**overrides):
     return raw
 
 
-#: (mutation, rule id the prover must report) — golden pairs, one per
-#: Section-III derivation rule a raw vector can break.
+#: (mutation, rule id the prover must report, message the vector raises
+#: when built) — golden triples, one per Section-III derivation rule a
+#: raw vector can break.  The messages pin ``KernelParams``' first
+#: failing rule, byte for byte; layouts and algorithms are rejected by
+#: their enums while the vector is decoded.
 GOLDEN_VIOLATIONS = [
-    ({"precision": "q"}, "param.precision"),
-    ({"mwg": 0}, "param.positive"),
-    ({"vw": 3}, "param.vector-width"),
-    ({"stride": "K"}, "param.stride"),
-    ({"layout_a": "ZIG"}, "param.layout"),
-    ({"algorithm": "XX"}, "param.algorithm"),
-    ({"mdimc": 7}, "param.mwg-mdimc"),
-    ({"ndimc": 7}, "param.nwg-ndimc"),
-    ({"kwi": 7}, "param.kwg-kwi"),
-    ({"mdima": 7}, "param.wg-mdima"),
-    ({"mdima": 32}, "param.mwg-mdima"),
-    ({"ndimb": 7}, "param.wg-ndimb"),
-    ({"mwg": 96, "mdimc": 16, "vw": 4, "kwi": 16}, "param.mwi-vw"),
-    ({"use_images": True}, "param.image-layout"),
-    ({"guard_edges": True}, "param.guard-layout"),
-    ({"algorithm": "DB", "shared_a": False, "shared_b": False,
-      "mdima": 0, "ndimb": 0}, "param.db-shared"),
+    ({"precision": "q"}, "param.precision",
+     "precision must be 's' or 'd', got 'q'"),
+    ({"mwg": 48.0}, "param.fields", "field 'mwg' must be an integer"),
+    ({"mwg": 0}, "param.positive", "mwg must be >= 1"),
+    ({"vw": 3}, "param.vector-width", "vector width 3 not in (1, 2, 4, 8)"),
+    ({"stride": "K"}, "param.stride", "unknown stride directions ['K']"),
+    ({"layout_a": "ZIG"}, "param.layout", "'ZIG' is not a valid Layout"),
+    ({"algorithm": "XX"}, "param.algorithm", "'XX' is not a valid Algorithm"),
+    ({"mdimc": 7}, "param.mwg-mdimc", "mwg=48 not divisible by mdimc=7"),
+    ({"ndimc": 7}, "param.nwg-ndimc", "nwg=96 not divisible by ndimc=7"),
+    ({"kwi": 7}, "param.kwg-kwi", "kwg=48 not divisible by kwi=7"),
+    ({"mdima": 7}, "param.wg-mdima",
+     "work-group size 128 not divisible by mdima=7"),
+    ({"mdima": 32}, "param.mwg-mdima", "mwg=48 not divisible by mdima=32"),
+    ({"mdima": 4}, "param.kwg-kdima", "kwg=48 not divisible by kdima=32"),
+    ({"ndimb": 7}, "param.wg-ndimb",
+     "work-group size 128 not divisible by ndimb=7"),
+    ({"ndimb": 64}, "param.nwg-ndimb", "nwg=96 not divisible by ndimb=64"),
     ({"mwg": 48, "nwg": 96, "kwg": 24, "kwi": 8, "algorithm": "DB",
-      "mdima": 16, "ndimb": 8}, "param.db-half-kdima"),
+      "mdima": 16, "ndimb": 8}, "param.kwg-kdimb",
+     "kwg=24 not divisible by kdimb=16"),
+    ({"mwg": 96, "mdimc": 16, "vw": 4, "kwi": 16}, "param.mwi-vw",
+     "mwi=6 not divisible by vector width 4"),
+    ({"mwg": 64, "vw": 4}, "param.nwi-vw",
+     "nwi=6 not divisible by vector width 4"),
+    ({"use_images": True}, "param.image-layout",
+     "image-object kernels address operands as 2-D textures; layouts must be ROW"),
+    ({"guard_edges": True}, "param.guard-layout",
+     "edge-guarded kernels read unpacked operands; layouts must be ROW"),
+    ({"algorithm": "DB", "shared_a": False, "shared_b": False,
+      "mdima": 0, "ndimb": 0}, "param.db-shared",
+     "DB algorithm double-buffers local memory; at least one matrix must be shared"),
+    ({"algorithm": "DB", "mwg": 128, "mdima": 128, "shared_b": False,
+      "kwg": 3, "kwi": 3}, "param.db-even-kwg",
+     "DB requires an even kwg (two half-buffers)"),
+    ({"algorithm": "DB"}, "param.db-half-kwi",
+     "DB half-buffer kwg/2=24 not divisible by kwi=16"),
+    ({"algorithm": "DB", "mdima": 8, "kwi": 8}, "param.db-half-kdima",
+     "DB requires each half tile of A to be loadable by the work-group "
+     "(kwg/2=24 not divisible by kdima=16)"),
+    ({"algorithm": "DB", "ndimb": 8, "kwi": 8}, "param.db-half-kdimb",
+     "DB requires each half tile of B to be loadable by the work-group "
+     "(kwg/2=24 not divisible by kdimb=16)"),
 ]
+GOLDEN_IDS = [rule for _, rule, _ in GOLDEN_VIOLATIONS]
 
 
 class TestGoldenDiagnostics:
-    @pytest.mark.parametrize("overrides,rule", GOLDEN_VIOLATIONS,
-                             ids=[r for _, r in GOLDEN_VIOLATIONS])
-    def test_known_bad_vector_hits_its_rule(self, overrides, rule):
+    @pytest.mark.parametrize("overrides,rule,message", GOLDEN_VIOLATIONS,
+                             ids=GOLDEN_IDS)
+    def test_known_bad_vector_hits_its_rule(self, overrides, rule, message):
         raw = _base_raw(**overrides)
         diags = prove_constraints(None, raw)
         errors = {d.rule for d in diags if d.severity is Severity.ERROR}
         assert rule in errors
+        with pytest.raises(ValueError) as excinfo:
+            KernelParams.from_dict(raw)
+        assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("overrides,rule", GOLDEN_VIOLATIONS,
-                             ids=[r for _, r in GOLDEN_VIOLATIONS])
-    def test_every_rejection_carries_a_witness(self, overrides, rule):
+    @pytest.mark.parametrize("overrides,rule,message", GOLDEN_VIOLATIONS,
+                             ids=GOLDEN_IDS)
+    def test_every_rejection_carries_a_witness(self, overrides, rule, message):
         raw = _base_raw(**overrides)
         for d in prove_constraints(None, raw):
             if d.severity is Severity.ERROR:

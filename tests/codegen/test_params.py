@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import pickle
+from itertools import islice
 
 import pytest
 
@@ -84,6 +86,20 @@ class TestValidation:
         with pytest.raises(ParameterError, match="half"):
             make_params(algorithm=Algorithm.DB, shared_b=True, ndimb=2, kwi=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mwg", 16.0), ("nwg", 16.0), ("mdimc", True), ("kwi", 2.0),
+        ("vw", True), ("mdima", 4.0),
+    ])
+    def test_rejects_non_integer_fields(self, field, value):
+        # 16.0 == 16, but it serialises (and so keys caches) differently;
+        # the constraint prover rejects it with the same message.
+        message = f"field '{field}' must be an integer"
+        with pytest.raises(ParameterError, match=message):
+            make_params(**{field: value})
+        text = json.dumps({**make_params().to_dict(), field: value})
+        with pytest.raises(ParameterError, match=message):
+            KernelParams.from_json(text)
+
     def test_pl_without_local_memory_is_allowed(self):
         # Degenerate PL (Cayman's SGEMM winner in Table II has no Shared).
         p = make_params(algorithm=Algorithm.PL)
@@ -130,6 +146,64 @@ class TestDerivedQuantities:
     def test_flops_per_iteration(self):
         p = make_params()
         assert p.flops_per_workgroup_iteration() == 2 * 16 * 16 * 8
+
+
+#: Methods whose value each instance computes at most once.
+ONCE_PER_INSTANCE = ("cache_key", "to_json", "local_memory_bytes",
+                     "private_elements", "private_bytes")
+
+
+def _space_sample(per_space: int = 12):
+    from repro.codegen.space import enumerate_space
+    from repro.devices import get_device_spec
+    from repro.devices.catalog import list_device_names
+
+    for device in list_device_names():
+        for precision in ("s", "d"):
+            space = enumerate_space(get_device_spec(device), precision)
+            yield from islice(space, per_space)
+
+
+def _fresh_values(p: KernelParams) -> dict:
+    """The once-per-instance values, computed on a new instance."""
+    copy = KernelParams(**{f.name: getattr(p, f.name)
+                           for f in dataclasses.fields(p)})
+    return {name: getattr(copy, name)() for name in ONCE_PER_INSTANCE}
+
+
+class TestOncePerInstance:
+    def test_values_match_a_fresh_computation(self):
+        checked = 0
+        for p in _space_sample():
+            for name, fresh in _fresh_values(p).items():
+                first = getattr(p, name)()
+                assert first == fresh, name
+                assert getattr(p, name)() is first, name
+            checked += 1
+        assert checked > 100
+
+    def test_values_follow_replace_json_and_pickle(self):
+        for p in islice(_space_sample(), 0, None, 7):
+            for name in ONCE_PER_INSTANCE:
+                getattr(p, name)()  # fill every slot before copying
+            other = "d" if p.precision == "s" else "s"
+            copies = (dataclasses.replace(p, precision=other),
+                      p.replace(precision=other),
+                      KernelParams.from_json(p.to_json()),
+                      pickle.loads(pickle.dumps(p)))
+            for q in copies:
+                assert {n: getattr(q, n)() for n in ONCE_PER_INSTANCE} \
+                    == _fresh_values(q)
+            assert copies[0] != p and copies[2] == p == copies[3]
+            assert hash(copies[3]) == hash(p) and repr(copies[3]) == repr(p)
+
+    def test_to_dict_is_a_new_dict_per_call(self):
+        p = make_params()
+        first = p.to_dict()
+        first["mwg"] = -1
+        assert p.to_dict() is not first
+        assert p.to_dict()["mwg"] == 16
+        assert KernelParams.from_dict(p.to_dict()) == p
 
 
 class TestSerialization:

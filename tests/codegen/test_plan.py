@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.algorithms import Algorithm
+from repro.codegen import plan as plan_module
 from repro.codegen.plan import StagingGeometry, build_plan, ownership_map
 from repro.codegen.params import StrideMode
 from repro.errors import LaunchError, ParameterError
@@ -63,6 +64,45 @@ class TestBuildPlan:
         plan = build_plan(params)
         assert sorted(plan.row_permutation()) == list(range(params.mwg))
         assert sorted(plan.col_permutation()) == list(range(params.nwg))
+        # The proved maps are shared between plans, so they are read-only.
+        for shared, geometry in (
+            (plan.row_owner, (params.mdimc, params.mwi, params.vw, params.stride.m)),
+            (plan.col_owner, (params.ndimc, params.nwi, params.vw, params.stride.n)),
+        ):
+            np.testing.assert_array_equal(shared, ownership_map(*geometry))
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = -1
+
+    def test_plans_of_one_geometry_share_one_proved_map(self):
+        a = build_plan(make_params(precision="d"))
+        b = build_plan(make_params(precision="s", kwg=16, shared_b=True))
+        assert a.row_owner is b.row_owner
+        assert a.col_owner is b.col_owner
+        # Square tiles: rows and columns have the same geometry too.
+        assert a.row_owner is a.col_owner
+
+    def test_failing_geometry_is_never_cached(self, monkeypatch):
+        calls = []
+
+        def broken(dim, wi, vw, nonunit):
+            calls.append((dim, wi, vw, nonunit))
+            return np.zeros((dim, wi), dtype=np.int64)
+
+        plan_module._proved_ownership.cache_clear()
+        monkeypatch.setattr(plan_module, "ownership_map", broken)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ParameterError) as excinfo:
+                build_plan(make_params())
+            texts.append(str(excinfo.value))
+        assert texts == [
+            "row (M) ownership map is not a bijection onto [0, 16): "
+            "covered 1 of 16 indices"
+        ] * 2
+        assert calls == [(4, 4, 1, False)] * 2
+        monkeypatch.undo()
+        build_plan(make_params())
 
     def test_staging_only_when_shared(self):
         plan = build_plan(make_params(shared_a=True))
