@@ -7,7 +7,7 @@ exactly the checks the dynamic pipeline performs:
   enforces in ``__post_init__`` (a violation there is the paper's
   "failed in code generation"),
 * the device resource budgets of
-  :func:`repro.perfmodel.model.check_resources` ("failed in
+  :func:`repro.perfmodel.occupancy.device_fit` ("failed in
   compilation"), and
 * the execution quirks of
   :func:`repro.perfmodel.model.check_execution_quirks` ("failed in
@@ -41,6 +41,8 @@ from repro.codegen.params import (
 )
 from repro.devices.specs import DeviceSpec
 from repro.errors import ParameterError
+from repro.perfmodel.model import pl_dgemm_quirk
+from repro.perfmodel.occupancy import device_fit
 
 __all__ = [
     "RULES",
@@ -296,48 +298,13 @@ def structural_diagnostics(subject: Union[KernelParams, Mapping]) -> List[Diagno
 def device_diagnostics(spec: DeviceSpec, params: KernelParams) -> List[Diagnostic]:
     """Prove the device budgets and quirks for a *valid* vector.
 
-    Uses the same footprint formulas and occupancy model as
-    :func:`repro.perfmodel.model.check_resources` /
-    :func:`~repro.perfmodel.model.check_execution_quirks`, so a rule
-    fires here exactly when the simulated build/launch would fail.
+    The budgets are the violations :func:`repro.perfmodel.model.check_resources`
+    raises from, and the quirk is the predicate of ``check_execution_quirks``,
+    so a rule fires here exactly when the simulated build/launch would fail.
     """
-    from repro.perfmodel.occupancy import compute_occupancy
-
-    out: List[Diagnostic] = []
-    model = spec.model
-    wg = params.workgroup_size
-    if wg > model.max_workgroup_size:
-        out.append(_err("device.workgroup-size",
-                        f"work-group size {wg} exceeds device limit "
-                        f"{model.max_workgroup_size} on {spec.codename}",
-                        {"workgroup_size": wg, "limit": model.max_workgroup_size,
-                         "mdimc": params.mdimc, "ndimc": params.ndimc}))
-    lmem = params.local_memory_bytes()
-    if lmem > spec.local_mem_bytes:
-        out.append(_err("device.local-memory",
-                        f"kernel needs {lmem} B of local memory; "
-                        f"{spec.codename} has {spec.local_mem_bytes} B",
-                        {"required_bytes": lmem, "limit_bytes": spec.local_mem_bytes,
-                         "copies": params.algorithm.local_buffer_copies}))
-    pbytes = params.private_bytes()
-    if pbytes > 2 * model.max_private_bytes_per_workitem:
-        out.append(_err("device.private-memory",
-                        f"private footprint {pbytes} B exceeds twice the register "
-                        f"cap ({model.max_private_bytes_per_workitem} B/work-item) "
-                        f"on {spec.codename}",
-                        {"required_bytes": pbytes,
-                         "limit_bytes": 2 * model.max_private_bytes_per_workitem,
-                         "private_elements": params.private_elements()}))
-    occ = compute_occupancy(spec, params)
-    if not occ.resident:
-        out.append(_err("device.occupancy",
-                        f"no work-group of this kernel fits on a {spec.codename} "
-                        f"compute unit (limited by {occ.limited_by})",
-                        {"limited_by": occ.limited_by,
-                         "workgroups_per_cu": occ.workgroups_per_cu}))
-    if (model.has_quirk("pl_dgemm_fails")
-            and params.algorithm is Algorithm.PL
-            and params.precision == "d"):
+    out = [_err(rule, message, witness)
+           for rule, message, witness in device_fit(spec, params).violations]
+    if pl_dgemm_quirk(spec, params):
         out.append(_err("device.quirk-pl-dgemm",
                         f"kernel would fail to execute on {spec.codename} "
                         "(PL double-precision kernels abort on this device)",

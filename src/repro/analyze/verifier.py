@@ -6,9 +6,10 @@ Two distinct verdicts are offered, with different contracts:
     the **search gate**: constraint rules only (structural + device),
     re-stating exactly what :func:`repro.tuner.parallel.measure_once`
     checks before timing a candidate.  Agreement with the simulator is
-    by construction — the gate uses the same footprint formulas and
-    occupancy model — so gating a search prunes failing candidates
-    without ever changing the winner.
+    by construction: the gate and ``check_resources`` both read the
+    candidate's one :func:`~repro.perfmodel.occupancy.device_fit`, so
+    gating a search prunes failing candidates without ever changing
+    the winner.
 
 :meth:`StaticVerifier.analyze`
     the **full analysis**: constraints plus the model-level bounds/race

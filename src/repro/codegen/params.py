@@ -41,10 +41,17 @@ from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
 from repro.errors import ParameterError
 
-__all__ = ["KernelParams", "StrideMode", "VALID_VECTOR_WIDTHS", "PRECISION_SIZES"]
+__all__ = [
+    "KernelParams", "StrideMode", "VALID_VECTOR_WIDTHS", "PRECISION_SIZES", "FIT_SLOT",
+]
 
 VALID_VECTOR_WIDTHS = (1, 2, 4, 8)
 PRECISION_SIZES: Dict[str, int] = {"s": 4, "d": 8}
+
+#: Instance ``__dict__`` slot where :func:`repro.perfmodel.occupancy.device_fit`
+#: keeps ``(spec, fit)`` for the last device the candidate was proved on.
+#: It names a device spec object, so pickles leave it out.
+FIT_SLOT = "_device_fit"
 
 
 @dataclass(frozen=True)
@@ -240,6 +247,12 @@ class KernelParams:
                         "DB requires each half tile of B to be loadable by the work-group "
                         f"(kwg/2={half} not divisible by kdimb={kdimb})"
                     )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A process-pool worker proves the device fit again on its own spec.
+        state = dict(self.__dict__)
+        state.pop(FIT_SLOT, None)
+        return state
 
     # -- derived quantities (paper notation) ----------------------------
     @property

@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
@@ -265,6 +265,17 @@ def enumerate_space(
     secondary = _secondary_options(device, restrictions)
     emitted = 0
     seen = set()
+    # _staging_widths by (wg, mwg or nwg, kwg, default): a few dozen
+    # distinct inputs recur across thousands of picks.
+    staging: Dict[Tuple[int, int, int, int], List[int]] = {}
+
+    def _widths(wg: int, width: int, kwg: int, default: int) -> List[int]:
+        key = (wg, width, kwg, default)
+        if key not in staging:
+            staging[key] = _staging_widths(
+                wg, width, kwg, restrictions.allow_staging_reshape, default
+            )
+        return staging[key]
 
     def _yield(params: KernelParams):
         nonlocal emitted
@@ -294,14 +305,8 @@ def enumerate_space(
         picks = rng.sample(secondary, k=min(per_blocking, len(secondary)))
         wg = mdimc * ndimc
         for vw, stride, (sha, shb), (la, lb), alg, use_images, guard in picks:
-            mdima_opts = (
-                _staging_widths(wg, mwg, kwg, restrictions.allow_staging_reshape, mdimc)
-                if sha else [0]
-            )
-            ndimb_opts = (
-                _staging_widths(wg, nwg, kwg, restrictions.allow_staging_reshape, ndimc)
-                if shb else [0]
-            )
+            mdima_opts = _widths(wg, mwg, kwg, mdimc) if sha else [0]
+            ndimb_opts = _widths(wg, nwg, kwg, ndimc) if shb else [0]
             if sha and not mdima_opts:
                 continue
             if shb and not ndimb_opts:

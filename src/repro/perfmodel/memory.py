@@ -155,8 +155,16 @@ def memory_efficiency(
     spec: DeviceSpec, params: KernelParams, M: int, N: int, K: int
 ) -> float:
     """Aggregate DRAM access efficiency (0..1] weighted by operand traffic."""
+    return _traffic_efficiency(
+        spec, params, global_traffic_bytes(spec, params, M, N, K), M, N
+    )
+
+
+def _traffic_efficiency(
+    spec: DeviceSpec, params: KernelParams, traffic: MemoryTraffic, M: int, N: int
+) -> float:
+    """:func:`memory_efficiency` of an already computed ``traffic``."""
     esize = params.element_size
-    traffic = global_traffic_bytes(spec, params, M, N, K)
     if params.use_images:
         eff_a = eff_b = _IMAGE_READ_EFFICIENCY
     else:

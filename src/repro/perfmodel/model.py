@@ -30,13 +30,13 @@ from typing import Dict, Tuple
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.params import KernelParams
 from repro.devices.specs import DeviceSpec
-from repro.errors import ResourceError
+from repro.errors import LaunchError, ResourceError
 from repro.perfmodel.memory import (
     global_traffic_bytes,
     local_traffic_bytes,
-    memory_efficiency,
+    _traffic_efficiency,
 )
-from repro.perfmodel.occupancy import OccupancyInfo, compute_occupancy
+from repro.perfmodel.occupancy import OccupancyInfo, device_fit
 
 __all__ = [
     "KernelCostBreakdown",
@@ -47,6 +47,7 @@ __all__ = [
     "estimate_transfer_time",
     "check_resources",
     "check_execution_quirks",
+    "pl_dgemm_quirk",
 ]
 
 # Loop-overhead constant of the unroll model (cycles-equivalent per
@@ -93,51 +94,26 @@ class KernelCostBreakdown:
 
 
 def check_resources(spec: DeviceSpec, params: KernelParams) -> OccupancyInfo:
-    """Validate device resource limits; raise :class:`ResourceError`.
+    """Occupancy of a kernel the device builds; else :class:`ResourceError`
+    with the first violation of :func:`~repro.perfmodel.occupancy.device_fit`,
+    the build rules the static gate reads too."""
+    fit = device_fit(spec, params)
+    if fit.violations:
+        raise ResourceError(fit.violations[0][1])
+    return fit.occupancy
 
-    Mirrors an OpenCL compiler/driver rejecting a kernel: work-group too
-    large, local memory over capacity, register file exhausted, or
-    private footprint beyond twice the per-work-item allocation cap.
-    """
-    model = spec.model
-    if params.workgroup_size > model.max_workgroup_size:
-        raise ResourceError(
-            f"work-group size {params.workgroup_size} exceeds device limit "
-            f"{model.max_workgroup_size} on {spec.codename}"
-        )
-    if params.local_memory_bytes() > spec.local_mem_bytes:
-        raise ResourceError(
-            f"kernel needs {params.local_memory_bytes()} B of local memory; "
-            f"{spec.codename} has {spec.local_mem_bytes} B"
-        )
-    if params.private_bytes() > 2 * model.max_private_bytes_per_workitem:
-        raise ResourceError(
-            f"private footprint {params.private_bytes()} B exceeds twice the "
-            f"register cap ({model.max_private_bytes_per_workitem} B/work-item) "
-            f"on {spec.codename}"
-        )
-    occ = compute_occupancy(spec, params)
-    if not occ.resident:
-        raise ResourceError(
-            f"no work-group of this kernel fits on a {spec.codename} compute "
-            f"unit (limited by {occ.limited_by})"
-        )
-    return occ
+
+def pl_dgemm_quirk(spec: DeviceSpec, params: KernelParams) -> bool:
+    """Whether ``spec`` aborts ``params`` at launch (paper Section IV-A:
+    "DGEMM kernels with PL algorithm always fail to execute on the
+    Bulldozer")."""
+    return (spec.model.has_quirk("pl_dgemm_fails")
+            and params.algorithm is Algorithm.PL and params.precision == "d")
 
 
 def check_execution_quirks(spec: DeviceSpec, params: KernelParams) -> None:
-    """Raise :class:`LaunchError` for device-specific execution failures.
-
-    Reproduces the paper's Section IV-A observation: "DGEMM kernels with
-    PL algorithm always fail to execute on the Bulldozer."
-    """
-    from repro.errors import LaunchError
-
-    if (
-        spec.model.has_quirk("pl_dgemm_fails")
-        and params.algorithm is Algorithm.PL
-        and params.precision == "d"
-    ):
+    """Raise :class:`LaunchError` when :func:`pl_dgemm_quirk` holds."""
+    if pl_dgemm_quirk(spec, params):
         raise LaunchError(
             f"kernel failed to execute on {spec.codename} "
             "(PL double-precision kernels abort on this device)"
@@ -274,7 +250,7 @@ def estimate_kernel_time(
     t_alu = flops / (peak * aeff)
 
     traffic = global_traffic_bytes(spec, params, M, N, K)
-    meff = memory_efficiency(spec, params, M, N, K)
+    meff = _traffic_efficiency(spec, params, traffic, M, N)
     t_gmem = traffic.total / (spec.bandwidth_bytes_per_s * meff)
 
     lbytes = local_traffic_bytes(params, M, N, K)

@@ -111,7 +111,10 @@ def measure_once(
 
     Performs the same build/launch validation the simulator's compiler
     and queue would: structural plan verification, device resource
-    checks, and execution quirks.  Raises the corresponding error.
+    checks, and execution quirks.  Raises the corresponding error.  The
+    resource check reads the candidate's device fit, which the static
+    gate has usually proved already; ``estimate_kernel_time`` reads it
+    again at no cost.
     """
     build_plan(params)  # ParameterError -> failed generation
     check_resources(spec, params)  # ResourceError -> failed build

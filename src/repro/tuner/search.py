@@ -619,7 +619,9 @@ class SearchEngine:
                 self.stats.quarantined += 1
 
     def _allowed(self, params: KernelParams) -> bool:
-        return self.quarantine.allows(params_digest(params))
+        # An empty quarantine (no fault plan demoted anything) allows
+        # every candidate without hashing it.
+        return not len(self.quarantine) or self.quarantine.allows(params_digest(params))
 
     def _gate_batch(self, batch: List[KernelParams]) -> List[KernelParams]:
         """Drop candidates the static verifier proves would fail.

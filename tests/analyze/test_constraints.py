@@ -6,14 +6,19 @@ would decide by building and launching — nothing the gate passes fails
 the simulator, and every gate rejection carries a provable witness.
 """
 
+import itertools
+
 import pytest
 
 from repro.analyze import StaticVerifier, prove_constraints
 from repro.analyze.constraints import failure_class
 from repro.analyze.diagnostics import Severity
+from repro.codegen.algorithms import Algorithm
 from repro.codegen.params import KernelParams
-from repro.codegen.space import enumerate_space
-from repro.devices.catalog import get_device_spec
+from repro.codegen.space import SpaceRestrictions, enumerate_space
+from repro.devices.catalog import get_device_spec, list_device_names
+from repro.errors import ResourceError
+from repro.perfmodel.model import check_resources
 from repro.tuner.parallel import evaluate_candidate, EvalTask
 from repro.tuner.pretuned import PRETUNED
 
@@ -146,6 +151,49 @@ class TestGateAgreesWithSimulator:
 
     def test_sgemm_agreement(self):
         assert self._differential("kepler", "s", limit=100) == 100
+
+    BUILD_RULES = ("device.workgroup-size", "device.local-memory",
+                   "device.private-memory", "device.occupancy")
+    #: Vectors past the budgets the enumeration keeps to: together they
+    #: break each build rule on some catalog device.
+    BUILD_EDGES = (
+        dict(mwg=128, nwg=128, kwg=16, mdimc=32, ndimc=32),
+        dict(mwg=128, nwg=128, kwg=64, mdimc=16, ndimc=16,
+             shared_a=True, shared_b=True, algorithm=Algorithm.DB),
+        dict(mwg=128, nwg=128, kwg=8, mdimc=4, ndimc=4),
+        dict(mwg=128, nwg=128, kwg=32, mdimc=16, ndimc=16, kwi=2,
+             shared_a=True, shared_b=True, algorithm=Algorithm.PL),
+        dict(mwg=128, nwg=128, kwg=32, mdimc=16, ndimc=16, kwi=2, vw=2,
+             shared_b=True),
+    )
+
+    @pytest.mark.parametrize("precision", ("s", "d"))
+    @pytest.mark.parametrize("codename", list_device_names())
+    def test_catalog_build_rules_are_the_simulators(self, codename, precision):
+        """On every catalog device, the gate names a build rule exactly
+        when ``check_resources`` raises, with that diagnostic's text."""
+        spec = get_device_spec(codename)
+        verifier = StaticVerifier(spec)
+        restrictions = SpaceRestrictions(allow_images=True, allow_guarded=True)
+        sampled = enumerate_space(spec, precision, restrictions, limit=200, seed=5)
+        edges = (KernelParams(precision=precision, **edge) for edge in self.BUILD_EDGES)
+        checked = 0
+        for params in itertools.chain(sampled, edges):
+            diags = prove_constraints(spec, params)
+            rule = verifier.gate(params)
+            try:
+                check_resources(spec, params)
+            except ResourceError as exc:
+                assert rule in self.BUILD_RULES, (codename, rule, str(exc))
+                first = next(d for d in diags if d.rule == rule)
+                assert str(exc) == first.message
+            else:
+                assert rule not in self.BUILD_RULES, (codename, rule)
+            n = max(params.lcm, params.algorithm.min_k_iterations * params.kwg)
+            outcome = evaluate_candidate(spec, EvalTask(params, (n, n, n)), noise=False)
+            assert failure_class(diags) == outcome.failure, params.summary()
+            checked += 1
+        assert checked == 200 + len(self.BUILD_EDGES)
 
     def test_gate_is_memoized(self):
         spec = get_device_spec("tahiti")

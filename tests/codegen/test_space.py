@@ -1,5 +1,6 @@
 """Heuristic search-space enumeration."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -52,6 +53,20 @@ class TestEnumeration:
         b = {p.cache_key() for p in enumerate_space(tahiti, "d", limit=300, seed=2,
                                                     include_seeds=False)}
         assert a != b
+
+    @pytest.mark.parametrize("device, precision, digest", [
+        ("tahiti", "s", "89b59a131874029a"),
+        ("bulldozer", "d", "399331c93f04cc11"),
+    ])
+    def test_yield_sequence_is_pinned(self, device, precision, digest):
+        """The enumeration's RNG draws, and so its yield, stay put: the
+        digest of the cache-key sequence under the search engine's
+        default restrictions."""
+        keys = [p.cache_key() for p in enumerate_space(
+            get_device_spec(device), precision, SpaceRestrictions(), limit=800, seed=0
+        )]
+        assert len(keys) == 800
+        assert hashlib.blake2b(repr(keys).encode(), digest_size=8).hexdigest() == digest
 
     def test_full_space_is_tens_of_thousands(self, tahiti):
         # The paper: "tens of thousands of kernel variants per single

@@ -1,11 +1,16 @@
 """The kernel timing model: structure, factors, quirks, determinism."""
 
+import pickle
+
 import pytest
 
+from repro.analyze import StaticVerifier
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
+from repro.codegen.params import FIT_SLOT
 from repro.devices import get_device_spec
 from repro.errors import LaunchError, ResourceError
+from repro.perfmodel import occupancy
 from repro.perfmodel.model import (
     alu_efficiency,
     check_execution_quirks,
@@ -13,6 +18,8 @@ from repro.perfmodel.model import (
     estimate_copy_time,
     estimate_kernel_time,
 )
+from repro.perfmodel.whatif import scaling_sweep
+from repro.tuner.parallel import measure_once
 from repro.tuner.pretuned import pretuned_params
 
 from tests.conftest import make_params
@@ -151,6 +158,49 @@ class TestResourceChecks:
             check_execution_quirks(bulldozer, pl_d)
         check_execution_quirks(sandybridge, pl_d)  # fine elsewhere
         check_execution_quirks(bulldozer, pl_d.replace(precision="s"))
+
+
+class TestDeviceFit:
+    """The device build rules are proved once per (device, candidate)."""
+
+    def test_gate_then_measure_computes_occupancy_once(self, tahiti, monkeypatch):
+        calls = []
+        real = occupancy.compute_occupancy
+
+        def counted(spec, params):
+            calls.append(params)
+            return real(spec, params)
+
+        monkeypatch.setattr(occupancy, "compute_occupancy", counted)
+        params = make_params(shared_a=True, shared_b=True)
+        assert StaticVerifier(tahiti).gate(params) is None
+        n = max(params.lcm, params.algorithm.min_k_iterations * params.kwg)
+        assert measure_once(tahiti, params, n, n, n) > 0
+        assert len(calls) == 1
+
+    def test_whatif_variants_are_proved_afresh(self, tahiti):
+        params = pretuned_params("tahiti", "d")
+        check_resources(tahiti, params)  # the fit now names the base spec
+        points = scaling_sweep(
+            "tahiti", params, "local_mem_kb", (0.1, 0.5, 1, 2), 1008, 1056, 1056
+        )
+        # Shrunk local memory cannot host the tile; the base fit must not
+        # leak onto the variants.
+        assert [scale for scale, _ in points] == [1, 2]
+        assert [gflops for _, gflops in points] == pytest.approx(
+            [769.168901785042, 770.1339995694739], rel=1e-12
+        )
+
+    def test_pickle_carries_no_fit(self, tahiti):
+        params = pretuned_params("tahiti", "d")
+        before = estimate_kernel_time(tahiti, params, 1008, 1056, 1056)
+        assert FIT_SLOT in params.__dict__
+        clone = pickle.loads(pickle.dumps(params))
+        assert FIT_SLOT not in clone.__dict__
+        assert clone == params and hash(clone) == hash(params)
+        assert repr(clone) == repr(params)
+        after = estimate_kernel_time(tahiti, clone, 1008, 1056, 1056)
+        assert after.total_seconds == before.total_seconds
 
 
 class TestCopyTime:

@@ -7,6 +7,7 @@ from repro.codegen.algorithms import Algorithm
 from repro.codegen.space import SpaceRestrictions
 from repro.devices import get_device_spec
 from repro.errors import LaunchError, TuningError, ValidationError
+from repro.tuner import search
 from repro.tuner.search import SearchEngine, TuningConfig, tune
 
 from tests.conftest import make_params
@@ -96,6 +97,15 @@ class TestRun:
         b = SearchEngine(tahiti, "s", QUICK).run()
         assert a.best.params == b.best.params
         assert a.best.gflops == b.best.gflops
+
+    def test_empty_quarantine_hashes_no_candidate(self, tahiti, monkeypatch):
+        """Without a fault plan nothing is ever demoted, so the quarantine
+        lookup never digests a candidate."""
+        digests = []
+        monkeypatch.setattr(search, "params_digest", digests.append)
+        result = SearchEngine(tahiti, "d", QUICK).run()
+        assert result.stats.measured > 0
+        assert digests == []
 
     def test_bulldozer_counts_pl_dgemm_launch_failures(self, bulldozer):
         """The quirk shows up as launch failures without the static gate
