@@ -3,9 +3,10 @@
 Two distinct verdicts are offered, with different contracts:
 
 :meth:`StaticVerifier.gate`
-    the **search gate**: constraint rules only (structural + device),
-    re-stating exactly what :func:`repro.tuner.parallel.measure_once`
-    checks before timing a candidate.  Agreement with the simulator is
+    the **search gate**: the device constraint rules, re-stating
+    exactly what :func:`repro.tuner.parallel.measure_once` checks before
+    timing a candidate (a constructed vector has already passed every
+    structural rule).  Agreement with the simulator is
     by construction: the gate and ``check_resources`` both read the
     candidate's one :func:`~repro.perfmodel.occupancy.device_fit`, so
     gating a search prunes failing candidates without ever changing
@@ -32,16 +33,15 @@ from repro.analyze.constraints import (
     DEVICE_RULES,
     STRUCTURAL_RULES,
     failure_class,
+    prove,
     prove_constraints,
-    structural_diagnostics,
 )
-from repro.analyze.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analyze.diagnostics import AnalysisReport, Severity
 from repro.analyze.races import RACE_RULES, check_races
 from repro.analyze.sites import build_model
 from repro.analyze.source_checks import SOURCE_RULES, check_source
 from repro.codegen.params import KernelParams
 from repro.devices.specs import DeviceSpec
-from repro.errors import ParameterError
 
 __all__ = [
     "StaticVerifier",
@@ -76,7 +76,9 @@ class StaticVerifier:
 
         Mirrors :func:`repro.tuner.parallel.measure_once`: a non-None
         return means the simulator would record the candidate as failed
-        (generation/build/launch) without producing a measurement.
+        (generation/build/launch) without producing a measurement.  A
+        constructed vector has passed every structural rule, so only the
+        device rules are proved.
         """
         key = params.cache_key()
         if key not in self._gate_cache:
@@ -111,39 +113,19 @@ class StaticVerifier:
         checked: List[str] = list(STRUCTURAL_RULES)
         if self.spec is not None:
             checked.extend(DEVICE_RULES)
-        report.extend(prove_constraints(self.spec, subject))
-
-        structurally_valid = not any(
-            d.rule.startswith("param.") for d in report.errors
-        )
-        if deep and structurally_valid:
-            params = self._coerce(subject, report)
-            if params is not None:
-                model = build_model(params)
-                report.extend(check_bounds(model))
-                checked.extend(BOUNDS_RULES)
-                report.extend(check_races(model))
-                checked.extend(RACE_RULES)
-                if source is not None:
-                    report.extend(check_source(params, source, model, samples))
-                    checked.extend(SOURCE_RULES)
+        params, diagnostics = prove(self.spec, subject)
+        report.extend(diagnostics)
+        if deep and params is not None:
+            model = build_model(params)
+            report.extend(check_bounds(model))
+            checked.extend(BOUNDS_RULES)
+            report.extend(check_races(model))
+            checked.extend(RACE_RULES)
+            if source is not None:
+                report.extend(check_source(params, source, model, samples))
+                checked.extend(SOURCE_RULES)
         report.checked_rules = tuple(checked)
         return report
-
-    @staticmethod
-    def _coerce(subject: Subject, report: AnalysisReport) -> Optional[KernelParams]:
-        if isinstance(subject, KernelParams):
-            return subject
-        try:
-            return KernelParams.from_dict(dict(subject))
-        except (ParameterError, TypeError, ValueError, KeyError) as exc:
-            report.extend([Diagnostic(
-                "param.fields", Severity.ERROR,
-                f"vector rejected by KernelParams despite passing the "
-                f"structural rules: {exc}",
-                witness={"error": str(exc)},
-            )])
-            return None
 
 
 def analyze_params(
@@ -163,19 +145,13 @@ def analyze_params(
     spec = get_device_spec(device) if device else None
     verifier = StaticVerifier(spec)
     source = None
-    if with_source and not structural_errors(subject):
-        from repro.codegen.emitter import emit_kernel_source
+    if with_source:
+        params = prove(None, subject)[0]
+        if params is not None:
+            from repro.codegen.emitter import emit_kernel_source
 
-        params = (subject if isinstance(subject, KernelParams)
-                  else KernelParams.from_dict(dict(subject)))
-        source = emit_kernel_source(params)
+            source = emit_kernel_source(params)
     return verifier.analyze(subject, source=source, samples=samples)
-
-
-def structural_errors(subject: Subject) -> List[Diagnostic]:
-    """ERROR-severity structural findings for a subject (helper)."""
-    return [d for d in structural_diagnostics(subject)
-            if d.severity is Severity.ERROR]
 
 
 def analyze_catalog(

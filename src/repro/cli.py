@@ -832,6 +832,10 @@ def _cmd_analyze(args) -> int:
                 raw = json.load(fh)
         else:
             raw = json.loads(args.params)
+        if not isinstance(raw, dict):
+            print("error: --params must be a JSON object of KernelParams fields",
+                  file=sys.stderr)
+            return 2
         report = analyze_params(raw, device=args.device, samples=args.samples)
         return _finish_analyze([report], args)
 

@@ -29,7 +29,7 @@ from typing import List
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
 from repro.codegen.params import KernelParams
-from repro.errors import BuildError
+from repro.errors import BuildError, ParameterError
 
 __all__ = [
     "emit_kernel_source",
@@ -599,7 +599,7 @@ def parse_meta_header(source: str) -> KernelParams:
             try:
                 meta = json.loads(line[len(META_PREFIX):])
                 return KernelParams.from_dict(meta["params"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ParameterError) as exc:
                 raise BuildError(f"corrupt GEMMGEN metadata header: {exc}") from exc
         break
     raise BuildError(

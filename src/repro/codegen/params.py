@@ -24,9 +24,10 @@ A :class:`KernelParams` instance fully determines one generated
                       generator does not use images)
 ====================  =====================================================
 
-Construction validates every structural constraint; invalid combinations
-raise :class:`~repro.errors.ParameterError`, which the auto-tuner counts
-as "failed in code generation".
+Construction validates every rule of the Section-III table in
+:mod:`repro.codegen.rules`; invalid combinations raise
+:class:`~repro.errors.ParameterError`, which the auto-tuner counts as
+"failed in code generation".
 """
 
 from __future__ import annotations
@@ -34,19 +35,25 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Dict, Mapping, Tuple
 
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
+from repro.codegen.rules import (
+    CONSTRUCTION,
+    DECODING,
+    Derived,
+    PRECISION_SIZES,
+    VALID_VECTOR_WIDTHS,
+    raise_first,
+)
 from repro.errors import ParameterError
 
 __all__ = [
-    "KernelParams", "StrideMode", "VALID_VECTOR_WIDTHS", "PRECISION_SIZES", "FIT_SLOT",
+    "KernelParams", "StrideMode", "Draft", "VALID_VECTOR_WIDTHS", "PRECISION_SIZES",
+    "FIT_SLOT",
 ]
-
-VALID_VECTOR_WIDTHS = (1, 2, 4, 8)
-PRECISION_SIZES: Dict[str, int] = {"s": 4, "d": 8}
 
 #: Instance ``__dict__`` slot where :func:`repro.perfmodel.occupancy.device_fit`
 #: keeps ``(spec, fit)`` for the last device the candidate was proved on.
@@ -105,19 +112,16 @@ def _once(method):
     return once
 
 
-#: Integer fields, held to the constraint prover's field rule: an ``int``
-#: that is not a ``bool`` (``64.0`` would compare equal to ``64`` yet
-#: serialise, and so key caches, differently).
-_INT_FIELDS = ("mwg", "nwg", "kwg", "mdimc", "ndimc", "kwi", "vw", "mdima", "ndimb")
-
-
 @dataclass(frozen=True)
-class KernelParams:
+class KernelParams(Derived):
     """A validated point in the code generator's parameter space.
 
-    Construction checks every rule and formats a message only for the
-    rule that fails.  The fields are frozen, so the values the tuner
-    reads many times per candidate -- :meth:`cache_key`, :meth:`to_json`,
+    Construction walks the Section-III rule table
+    (:data:`repro.codegen.rules.CONSTRUCTION`) and raises the first rule
+    the vector breaks, formatting a message only for that rule; a
+    constructed vector has passed every rule.  The fields are frozen, so
+    the values the tuner reads many times per candidate --
+    :meth:`cache_key`, :meth:`to_json`,
     :meth:`local_memory_bytes`, :meth:`private_elements` and
     :meth:`private_bytes` -- are each computed at most once per instance.
     """
@@ -152,101 +156,13 @@ class KernelParams:
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        # Each rule formats its message only when it fails: most vectors
-        # an enumeration proposes are checked and most checks pass.
-        if self.precision not in PRECISION_SIZES:
-            raise ParameterError(f"precision must be 's' or 'd', got {self.precision!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"field {name!r} must be an integer")
-        for name in ("mwg", "nwg", "kwg", "mdimc", "ndimc", "kwi"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
-        if self.vw not in VALID_VECTOR_WIDTHS:
-            raise ParameterError(f"vector width {self.vw} not in {VALID_VECTOR_WIDTHS}")
-        if self.mwg % self.mdimc:
-            raise ParameterError(f"mwg={self.mwg} not divisible by mdimc={self.mdimc}")
-        if self.nwg % self.ndimc:
-            raise ParameterError(f"nwg={self.nwg} not divisible by ndimc={self.ndimc}")
-        if self.kwg % self.kwi:
-            raise ParameterError(f"kwg={self.kwg} not divisible by kwi={self.kwi}")
-
-        # Canonicalise the staging reshape parameters: they only exist for
-        # matrices staged through local memory.
+        raise_first(CONSTRUCTION, self)
+        # The staging reshape parameters only exist for matrices staged
+        # through local memory.
         if not self.shared_a:
             object.__setattr__(self, "mdima", 0)
         if not self.shared_b:
             object.__setattr__(self, "ndimb", 0)
-
-        mwi, nwi = self.mwi, self.nwi
-        if self.vw > 1:
-            if mwi % self.vw:
-                raise ParameterError(f"mwi={mwi} not divisible by vector width {self.vw}")
-            if nwi % self.vw:
-                raise ParameterError(f"nwi={nwi} not divisible by vector width {self.vw}")
-
-        wg = self.workgroup_size
-        if self.shared_a:
-            mdima = self.effective_mdima
-            if wg % mdima:
-                raise ParameterError(f"work-group size {wg} not divisible by mdima={mdima}")
-            kdima = wg // mdima
-            if self.mwg % mdima:
-                raise ParameterError(f"mwg={self.mwg} not divisible by mdima={mdima}")
-            if self.kwg % kdima:
-                raise ParameterError(f"kwg={self.kwg} not divisible by kdima={kdima}")
-        if self.shared_b:
-            ndimb = self.effective_ndimb
-            if wg % ndimb:
-                raise ParameterError(f"work-group size {wg} not divisible by ndimb={ndimb}")
-            kdimb = wg // ndimb
-            if self.nwg % ndimb:
-                raise ParameterError(f"nwg={self.nwg} not divisible by ndimb={ndimb}")
-            if self.kwg % kdimb:
-                raise ParameterError(f"kwg={self.kwg} not divisible by kdimb={kdimb}")
-
-        row_layouts = self.layout_a is Layout.ROW and self.layout_b is Layout.ROW
-        # Image objects are addressed by 2-D texel coordinates, so
-        # block-major host layouts are meaningless for them.
-        if self.use_images and not row_layouts:
-            raise ParameterError(
-                "image-object kernels address operands as 2-D textures; "
-                "layouts must be ROW"
-            )
-        # Partial tiles cannot be block-major packed: guarded kernels
-        # read the operands as the user stored them.
-        if self.guard_edges and not row_layouts:
-            raise ParameterError(
-                "edge-guarded kernels read unpacked operands; layouts must be ROW"
-            )
-
-        if self.algorithm is Algorithm.DB:
-            if not (self.shared_a or self.shared_b):
-                raise ParameterError(
-                    "DB algorithm double-buffers local memory; at least one matrix must be shared"
-                )
-            half = self.kwg // 2
-            if self.kwg % 2:
-                raise ParameterError("DB requires an even kwg (two half-buffers)")
-            if half % self.kwi:
-                raise ParameterError(
-                    f"DB half-buffer kwg/2={half} not divisible by kwi={self.kwi}"
-                )
-            if self.shared_a:
-                kdima = self.workgroup_size // self.effective_mdima
-                if half % kdima:
-                    raise ParameterError(
-                        "DB requires each half tile of A to be loadable by the work-group "
-                        f"(kwg/2={half} not divisible by kdima={kdima})"
-                    )
-            if self.shared_b:
-                kdimb = self.workgroup_size // self.effective_ndimb
-                if half % kdimb:
-                    raise ParameterError(
-                        "DB requires each half tile of B to be loadable by the work-group "
-                        f"(kwg/2={half} not divisible by kdimb={kdimb})"
-                    )
 
     def __getstate__(self) -> Dict[str, object]:
         # A process-pool worker proves the device fit again on its own spec.
@@ -254,41 +170,7 @@ class KernelParams:
         state.pop(FIT_SLOT, None)
         return state
 
-    # -- derived quantities (paper notation) ----------------------------
-    @property
-    def mwi(self) -> int:
-        """Work-item blocking factor in M: ``Mwi = Mwg / MdimC``."""
-        return self.mwg // self.mdimc
-
-    @property
-    def nwi(self) -> int:
-        """Work-item blocking factor in N: ``Nwi = Nwg / NdimC``."""
-        return self.nwg // self.ndimc
-
-    @property
-    def workgroup_size(self) -> int:
-        return self.mdimc * self.ndimc
-
-    @property
-    def effective_mdima(self) -> int:
-        """Staging grid width for A (``MdimA``); defaults to ``MdimC``."""
-        return self.mdima if self.mdima else self.mdimc
-
-    @property
-    def effective_ndimb(self) -> int:
-        """Staging grid width for B (``NdimB``); defaults to ``NdimC``."""
-        return self.ndimb if self.ndimb else self.ndimc
-
-    @property
-    def kdima(self) -> int:
-        """``KdimA = (MdimC * NdimC) / MdimA`` (Section III-C)."""
-        return self.workgroup_size // self.effective_mdima
-
-    @property
-    def kdimb(self) -> int:
-        """``KdimB = (MdimC * NdimC) / NdimB`` (Section III-C)."""
-        return self.workgroup_size // self.effective_ndimb
-
+    # -- derived quantities (paper notation; Mwi, Nwi, KdimA, KdimB: Derived)
     @property
     def mwia(self) -> int:
         """Per-work-item A-staging tile width: ``MwiA = Mwg / MdimA``."""
@@ -375,13 +257,10 @@ class KernelParams:
         return d
 
     @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "KernelParams":
-        d = dict(d)
-        d["stride"] = StrideMode.from_label(str(d.get("stride", "-")))
-        d["layout_a"] = Layout(d.get("layout_a", "ROW"))
-        d["layout_b"] = Layout(d.get("layout_b", "ROW"))
-        d["algorithm"] = Algorithm(d.get("algorithm", "BA"))
-        return cls(**d)
+    def from_dict(cls, d: Mapping[str, object]) -> "KernelParams":
+        draft = Draft(d)
+        raise_first(DECODING, draft)
+        return cls(**{name: getattr(draft, name) for name in _FIELD_NAMES})
 
     @_once
     def to_json(self) -> str:
@@ -447,3 +326,42 @@ class KernelParams:
 #: Field names in declaration order: the keys of :meth:`KernelParams.to_dict`
 #: (a direct build; ``dataclasses.asdict`` deep-copies every field).
 _FIELD_NAMES = tuple(f.name for f in fields(KernelParams))
+
+
+#: Each field's default; ``None`` where the field has none.
+_DEFAULTS: Dict[str, object] = {
+    f.name: None if f.default is MISSING else f.default for f in fields(KernelParams)
+}
+#: Fields a mapping spells as labels: decoder and default label.
+_LABELS = {
+    "stride": (lambda label: StrideMode.from_label(str(label)), "-"),
+    "layout_a": (Layout, "ROW"),
+    "layout_b": (Layout, "ROW"),
+    "algorithm": (Algorithm, "BA"),
+}
+
+
+class Draft(Derived):
+    """A raw mapping read the way :meth:`KernelParams.from_dict` reads it.
+
+    Every field is an attribute: the mapping's value, else the field's
+    default (``None`` where there is none).  Labels are decoded; a label
+    that does not decode is kept in ``undecoded`` as ``(label, message)``
+    and its field reads the default, so the rules after it still apply.
+    ``unknown`` lists the keys that name no field.
+    """
+
+    def __init__(self, raw: Mapping[str, object]) -> None:
+        raw = dict(raw)
+        self.__dict__.update(_DEFAULTS)
+        self.__dict__.update((k, v) for k, v in raw.items() if k in _DEFAULTS)
+        self.unknown = [k for k in raw if k not in _DEFAULTS]
+        self.undecoded: Dict[str, Tuple[object, str]] = {}
+        for name, (decode, default) in _LABELS.items():
+            label = raw.get(name, default)
+            try:
+                value = decode(label)
+            except ValueError as exc:
+                self.undecoded[name] = (label, str(exc))
+                value = decode(default)
+            setattr(self, name, value)

@@ -24,7 +24,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
-from repro.codegen.params import KernelParams, StrideMode
+from repro.codegen.params import Draft, KernelParams, StrideMode
+from repro.codegen.rules import VECTOR_ALIGNMENT
 from repro.devices.specs import DeviceSpec, LocalMemType
 from repro.errors import ParameterError
 
@@ -304,6 +305,7 @@ def enumerate_space(
         rng = random.Random(_combo_digest(mwg, nwg, kwg, mdimc, ndimc, kwi, seed))
         picks = rng.sample(secondary, k=min(per_blocking, len(secondary)))
         wg = mdimc * ndimc
+        blocking = Draft({"mwg": mwg, "nwg": nwg, "mdimc": mdimc, "ndimc": ndimc})
         for vw, stride, (sha, shb), (la, lb), alg, use_images, guard in picks:
             mdima_opts = _widths(wg, mwg, kwg, mdimc) if sha else [0]
             ndimb_opts = _widths(wg, nwg, kwg, ndimc) if shb else [0]
@@ -313,6 +315,12 @@ def enumerate_space(
                 continue
             mdima = rng.choice(mdima_opts)
             ndimb = rng.choice(ndimb_opts)
+            # Most picks that fail to construct break the vector-width
+            # alignment; test it on the integers, after the draws above so
+            # the RNG stream is the same either way.
+            blocking.vw = vw
+            if any(rule.broken(blocking) for rule in VECTOR_ALIGNMENT):
+                continue
             try:
                 params = KernelParams(
                     precision=precision,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["RegressionForest"]
 
@@ -33,12 +33,21 @@ class _Node:
         self.value = 0.0
 
 
+def _total(xs: Iterable[float]) -> float:
+    """Left-to-right float sum: builtin ``sum`` of floats is compensated
+    from Python 3.12 on, so its bits depend on the interpreter."""
+    t = 0.0
+    for x in xs:
+        t += x
+    return t
+
+
 def _variance(ys: Sequence[float]) -> float:
     n = len(ys)
     if n < 2:
         return 0.0
-    mean = sum(ys) / n
-    return sum((y - mean) ** 2 for y in ys) / n
+    mean = _total(ys) / n
+    return _total((y - mean) ** 2 for y in ys) / n
 
 
 class _Tree:
@@ -56,7 +65,7 @@ class _Tree:
 
     def _split(self, node: _Node, rows: List[int], X, y, depth: int) -> None:
         ys = [y[i] for i in rows]
-        node.value = sum(ys) / len(ys)
+        node.value = _total(ys) / len(ys)
         if depth >= self.max_depth or len(rows) < 2 * _MIN_LEAF:
             return
         parent_var = _variance(ys)
@@ -137,8 +146,8 @@ class RegressionForest:
     def predict(self, x: Sequence[float]) -> Tuple[float, float]:
         """Mean prediction and across-tree standard deviation."""
         votes = [t.predict(x) for t in self._trees]
-        mean = sum(votes) / len(votes)
-        var = sum((v - mean) ** 2 for v in votes) / len(votes)
+        mean = _total(votes) / len(votes)
+        var = _total((v - mean) ** 2 for v in votes) / len(votes)
         return mean, math.sqrt(var)
 
     def feature_importances(self) -> List[float]:
@@ -147,7 +156,7 @@ class RegressionForest:
         for tree in self._trees:
             for f, gain in tree.gains.items():
                 totals[f] += gain
-        norm = sum(totals)
+        norm = _total(totals)
         if norm <= 0:
             return totals
         return [t / norm for t in totals]

@@ -7,17 +7,18 @@ the simulator, and every gate rejection carries a provable witness.
 """
 
 import itertools
+import random
 
 import pytest
 
 from repro.analyze import StaticVerifier, prove_constraints
-from repro.analyze.constraints import failure_class
+from repro.analyze.constraints import failure_class, structural_diagnostics
 from repro.analyze.diagnostics import Severity
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.params import KernelParams
 from repro.codegen.space import SpaceRestrictions, enumerate_space
 from repro.devices.catalog import get_device_spec, list_device_names
-from repro.errors import ResourceError
+from repro.errors import ParameterError, ResourceError
 from repro.perfmodel.model import check_resources
 from repro.tuner.parallel import evaluate_candidate, EvalTask
 from repro.tuner.pretuned import PRETUNED
@@ -201,3 +202,84 @@ class TestGateAgreesWithSimulator:
         params = KernelParams.from_dict(_base_raw())
         assert verifier.gate(params) is verifier.gate(params)
         assert params.cache_key() in verifier._gate_cache
+
+
+#: Values a mutation draws per field: valid ones, ones that break a rule,
+#: and ones of the wrong type.
+_MUTATIONS = {
+    "precision": ["s", "d", "q", None, 8, []],
+    "mwg": [16, 32, 48, 64, 96, 128, 0, -16, 40, 48.0, "48", None, True],
+    "nwg": [16, 32, 48, 64, 96, 128, 0, 40, 96.0, None],
+    "kwg": [3, 8, 16, 24, 32, 48, 64, 96, 0, 12, "32"],
+    "mdimc": [4, 7, 8, 16, 24, 32, 0, -8, 16.0, False],
+    "ndimc": [4, 7, 8, 16, 24, 32, 0, None],
+    "kwi": [1, 2, 3, 4, 8, 16, 24, 0, 7],
+    "vw": [1, 2, 3, 4, 8, 16, 0, 2.0],
+    "mdima": [0, 4, 7, 8, 16, 32, 64, 128, -4, None],
+    "ndimb": [0, 4, 7, 8, 16, 32, 64, "8"],
+    "stride": ["-", "M", "N", "M,N", "K", "M,Q", None],
+    "shared_a": [True, False, "no", 1, 0, None],
+    "shared_b": [True, False, "yes", 0],
+    "layout_a": ["ROW", "CBL", "RBL", "ZIG", None, 3],
+    "layout_b": ["ROW", "CBL", "RBL", "ZAG"],
+    "algorithm": ["BA", "PL", "DB", "DB", "XX", None],
+    "use_images": [True, False, False, "no"],
+    "guard_edges": [True, False, False, 1],
+}
+
+
+def _mutants(count, seed=11):
+    """Seeded mutations of the pretuned vectors: single and multi-field
+    changes, DB with every shared pair, bad types, unknown and missing keys."""
+    rng = random.Random(seed)
+    bases = sorted(PRETUNED)
+    for _ in range(count):
+        raw = dict(PRETUNED[rng.choice(bases)])
+        for name in rng.sample(sorted(_MUTATIONS), k=rng.choice((1, 1, 2, 3, 4))):
+            raw[name] = rng.choice(_MUTATIONS[name])
+        roll = rng.random()
+        if roll < 0.25:
+            raw["algorithm"] = "DB"
+            raw["shared_a"], raw["shared_b"] = rng.choice(
+                ((False, False), (True, False), (False, True), (True, True)))
+        elif roll < 0.3:
+            raw["bogus"] = 1
+        elif roll < 0.35:
+            del raw[rng.choice(sorted(raw))]
+        yield raw
+
+
+class TestRuleTable:
+    """Construction and the prover walk one Section-III rule table."""
+
+    def test_from_dict_raises_what_the_prover_reports_first(self):
+        outcomes = {"built": 0, "raised": 0}
+        for raw in _mutants(1500):
+            diags = structural_diagnostics(raw)
+            assert all(d.severity is Severity.ERROR for d in diags)
+            try:
+                KernelParams.from_dict(raw)
+            except ParameterError as exc:
+                assert diags, raw
+                first = next(d for d in diags if d.rule.startswith("param."))
+                assert str(exc) == first.message, raw
+                outcomes["raised"] += 1
+            else:
+                assert not diags, (raw, diags)
+                outcomes["built"] += 1
+        assert min(outcomes.values()) > 200, outcomes
+
+    @pytest.mark.parametrize("flag", ["shared_a", "shared_b", "use_images", "guard_edges"])
+    def test_flags_must_be_bools(self, flag):
+        raw = _base_raw(**{flag: "no"})
+        with pytest.raises(ParameterError, match=f"field '{flag}' must be a bool"):
+            KernelParams.from_dict(raw)
+        assert [d.rule for d in prove_constraints(None, raw)] == ["param.fields"]
+
+    def test_unknown_keys_are_rejected(self):
+        raw = _base_raw(bogus=1)
+        with pytest.raises(ParameterError, match="unknown fields 'bogus'"):
+            KernelParams.from_dict(raw)
+        diags = prove_constraints(get_device_spec("tahiti"), raw)
+        assert [d.rule for d in diags] == ["param.fields"]
+        assert diags[0].witness == {"fields": "'bogus'"}

@@ -256,6 +256,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "param.mwg-mdimc" in out
 
+    @pytest.mark.parametrize("change", [{"shared_a": "no"}, {"bogus": 1}],
+                             ids=["non-bool-flag", "unknown-key"])
+    def test_analyze_rejects_what_construction_rejects(self, change, capsys):
+        raw = dict(PRETUNED[("tahiti", "d")], **change)
+        rc = main(["analyze", "--params", json.dumps(raw)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "param.fields" in out and "CLEAN" not in out
+
+    def test_analyze_params_must_be_an_object(self, capsys):
+        rc = main(["analyze", "--params", "[1, 2]"])
+        assert rc == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_analyze_params_from_file(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(dict(PRETUNED[("tahiti", "d")])))
