@@ -22,7 +22,8 @@ from repro.codegen.layouts import Layout
 from repro.errors import ParameterError
 
 __all__ = [
-    "Rule", "Derived", "SECTION_III", "DECODING", "CONSTRUCTION", "VECTOR_ALIGNMENT",
+    "Rule", "Derived", "SECTION_III", "DECODING", "CONSTRUCTION",
+    "BLOCKING_DIVISIBILITY", "VECTOR_ALIGNMENT", "STAGING_A", "STAGING_B",
     "VALID_VECTOR_WIDTHS", "PRECISION_SIZES", "raise_first", "violations",
 ]
 
@@ -250,10 +251,21 @@ SECTION_III: Tuple[Rule, ...] = (
 
 DECODING: Tuple[Rule, ...] = tuple(r for r in SECTION_III if r.decoding)
 CONSTRUCTION: Tuple[Rule, ...] = tuple(r for r in SECTION_III if not r.decoding)
+
+
+def _named(*ids: str) -> Tuple[Rule, ...]:
+    return tuple(r for r in SECTION_III if r.id in ids)
+
+
+# Subsets the enumeration tests on the integers before it constructs.
+#: The blocking factors divide: ``Mwg/MdimC``, ``Nwg/NdimC``, ``Kwg/Kwi``.
+BLOCKING_DIVISIBILITY = _named("param.mwg-mdimc", "param.nwg-ndimc", "param.kwg-kwi")
 #: ``Mwi`` and ``Nwi`` divisible by the vector width: the rules most
-#: enumerated picks break, so the enumeration tests them before it constructs.
-VECTOR_ALIGNMENT: Tuple[Rule, ...] = tuple(
-    r for r in SECTION_III if r.id in ("param.mwi-vw", "param.nwi-vw"))
+#: enumerated picks break.
+VECTOR_ALIGNMENT = _named("param.mwi-vw", "param.nwi-vw")
+#: The staging grid of A (``MdimA``) and of B (``NdimB``) fits the tile.
+STAGING_A = _named("param.wg-mdima", "param.mwg-mdima", "param.kwg-kdima")
+STAGING_B = _named("param.wg-ndimb", "param.nwg-ndimb", "param.kwg-kdimb")
 
 
 def raise_first(rules: Tuple[Rule, ...], v) -> None:

@@ -25,7 +25,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
 from repro.codegen.params import Draft, KernelParams, StrideMode
-from repro.codegen.rules import VECTOR_ALIGNMENT
+from repro.codegen.rules import (
+    BLOCKING_DIVISIBILITY, STAGING_A, STAGING_B, VECTOR_ALIGNMENT,
+)
 from repro.devices.specs import DeviceSpec, LocalMemType
 from repro.errors import ParameterError
 
@@ -106,15 +108,14 @@ def _blocking_pools(restrictions: SpaceRestrictions):
     return _MWG_NWG, _KWG, _DIMC, _KWI
 
 
-def _blocking_ok(device: DeviceSpec, mwg: int, nwg: int, kwg: int,
-                 mdimc: int, ndimc: int, kwi: int) -> bool:
+def _blocking_ok(device: DeviceSpec, blocking: Draft) -> bool:
     """Cheap structural/heuristic filters applied before construction."""
-    if mwg % mdimc or nwg % ndimc or kwg % kwi:
+    if any(rule.broken(blocking) for rule in BLOCKING_DIVISIBILITY):
         return False
-    wg = mdimc * ndimc
+    wg = blocking.workgroup_size
     if wg > device.model.max_workgroup_size:
         return False
-    mwi, nwi = mwg // mdimc, nwg // ndimc
+    mwi, nwi = blocking.mwi, blocking.nwi
     if not (1 <= mwi <= 16 and 1 <= nwi <= 16):
         return False
     # Registers for the C accumulators alone must be plausible.
@@ -176,26 +177,21 @@ def _secondary_options(
     return out
 
 
-def _staging_widths(
-    wg: int, mwg: int, kwg: int, allow_reshape: bool, default: int
-) -> List[int]:
-    """Valid MdimA (NdimB) values for staging one tile with a wg-size grid."""
-    if not allow_reshape:
-        return [default] if _staging_valid(wg, mwg, kwg, default) else []
-    out = []
-    for cand in (default, 8, 16, 32, 64):
+def _staging_widths(blocking: Draft, side: str, allow_reshape: bool) -> List[int]:
+    """Valid ``MdimA`` (side ``"a"``) or ``NdimB`` (side ``"b"``) values
+    for one blocking: the widths no staging rule of that side breaks."""
+    name, rules, default = (
+        ("mdima", STAGING_A, blocking.mdimc) if side == "a"
+        else ("ndimb", STAGING_B, blocking.ndimc)
+    )
+    out: List[int] = []
+    for cand in (default, 8, 16, 32, 64) if allow_reshape else (default,):
         if cand in out:
             continue
-        if _staging_valid(wg, mwg, kwg, cand):
+        setattr(blocking, name, cand)
+        if not any(rule.broken(blocking) for rule in rules):
             out.append(cand)
     return out
-
-
-def _staging_valid(wg: int, mwg: int, kwg: int, dim_major: int) -> bool:
-    if dim_major <= 0 or wg % dim_major:
-        return False
-    dim_k = wg // dim_major
-    return mwg % dim_major == 0 and kwg % dim_k == 0
 
 
 def _seed_admissible(params: KernelParams, r: SpaceRestrictions) -> bool:
@@ -266,15 +262,20 @@ def enumerate_space(
     secondary = _secondary_options(device, restrictions)
     emitted = 0
     seen = set()
-    # _staging_widths by (wg, mwg or nwg, kwg, default): a few dozen
+    # One draft, re-pointed at each blocking, is what the rules tested
+    # before construction read.  Both matrices count as staged in it, so
+    # the staging rules apply while a side's widths are drawn.
+    blocking = Draft({"shared_a": True, "shared_b": True})
+    # _staging_widths by side and the fields its rules read: a few dozen
     # distinct inputs recur across thousands of picks.
-    staging: Dict[Tuple[int, int, int, int], List[int]] = {}
+    staging: Dict[Tuple, List[int]] = {}
 
-    def _widths(wg: int, width: int, kwg: int, default: int) -> List[int]:
-        key = (wg, width, kwg, default)
+    def _widths(side: str) -> List[int]:
+        key = (side, blocking.mwg if side == "a" else blocking.nwg,
+               blocking.kwg, blocking.mdimc, blocking.ndimc)
         if key not in staging:
             staging[key] = _staging_widths(
-                wg, width, kwg, restrictions.allow_staging_reshape, default
+                blocking, side, restrictions.allow_staging_reshape
             )
         return staging[key]
 
@@ -297,18 +298,19 @@ def enumerate_space(
             if limit is not None and emitted >= limit:
                 return
 
-    for mwg, nwg, kwg, mdimc, ndimc, kwi in itertools.product(
+    for combo in itertools.product(
         pool_mn, pool_mn, pool_k, pool_dim, pool_dim, pool_kwi
     ):
-        if not _blocking_ok(device, mwg, nwg, kwg, mdimc, ndimc, kwi):
+        mwg, nwg, kwg, mdimc, ndimc, kwi = combo
+        (blocking.mwg, blocking.nwg, blocking.kwg,
+         blocking.mdimc, blocking.ndimc, blocking.kwi) = combo
+        if not _blocking_ok(device, blocking):
             continue
-        rng = random.Random(_combo_digest(mwg, nwg, kwg, mdimc, ndimc, kwi, seed))
+        rng = random.Random(_combo_digest(*combo, seed))
         picks = rng.sample(secondary, k=min(per_blocking, len(secondary)))
-        wg = mdimc * ndimc
-        blocking = Draft({"mwg": mwg, "nwg": nwg, "mdimc": mdimc, "ndimc": ndimc})
         for vw, stride, (sha, shb), (la, lb), alg, use_images, guard in picks:
-            mdima_opts = _widths(wg, mwg, kwg, mdimc) if sha else [0]
-            ndimb_opts = _widths(wg, nwg, kwg, ndimc) if shb else [0]
+            mdima_opts = _widths("a") if sha else [0]
+            ndimb_opts = _widths("b") if shb else [0]
             if sha and not mdima_opts:
                 continue
             if shb and not ndimb_opts:

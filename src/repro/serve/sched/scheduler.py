@@ -644,44 +644,34 @@ class AsyncScheduler:
                 )
                 self._dispatch_single(request)
                 return
+            tick = service._tick
+            for device, start, stop in self._lost_events:
+                breaker = service.breakers.get(device)
+                if breaker is not None and breaker.record_failure(tick):
+                    service.counters.breaker_trips += 1
+                    service.log.record(
+                        rid, "breaker_trip", device=device, rung="sharded",
+                        detail="opened after: device lost mid-shard",
+                    )
+                service.log.record(
+                    rid, "degraded", device=device, rung="sharded",
+                    detail=f"device lost; columns {start}:{stop} re-partitioned",
+                )
+            # Inside the dispatch span, so the check's span joins its trace.
+            passed = service._freivalds(
+                rid, call, md.c, "fleet", "sharded",
+                note="; re-serving via the single-device ladder",
+            )
         seconds = md.wall_seconds
         self.now += seconds
         self._count_dispatch("shard")
-        tick = service._tick
-        for device, start, stop in self._lost_events:
-            breaker = service.breakers.get(device)
-            if breaker is not None and breaker.record_failure(tick):
-                service.counters.breaker_trips += 1
-                service.log.record(
-                    rid, "breaker_trip", device=device, rung="sharded",
-                    detail="opened after: device lost mid-shard",
-                )
-            service.log.record(
-                rid, "degraded", device=device, rung="sharded",
-                detail=f"device lost; columns {start}:{stop} re-partitioned",
-            )
-        verified = False
-        if service._unit("verify", rid) < service.config.verify_rate:
-            check = service.verifier.check(
-                call.a, call.b, md.c, call.alpha, call.beta, call.c,
-                "N", "N", key=f"req:{rid}",
-            )
-            if not check.passed:
-                service.counters.corruption_caught += 1
-                service.log.record(
-                    rid, "corruption", device="fleet", rung="sharded",
-                    detail=(f"Freivalds residual {check.max_residual:.3e} "
-                            f"> tolerance {check.tolerance:.3e}; re-serving "
-                            f"via the single-device ladder"),
-                )
-                # The corrupt sharded attempt burned its wall time; the
-                # single-device ladder (with its own verification) now
-                # owns the request.  The shard path only counts the
-                # request on success, so service.submit counts it here.
-                self._dispatch_single(request)
-                return
-            verified = True
-            service.counters.verified += 1
+        if passed is False:
+            # The corrupt sharded attempt burned its wall time; the
+            # single-device ladder (with its own verification) now
+            # owns the request.  The shard path only counts the
+            # request on success, so service.submit counts it here.
+            self._dispatch_single(request)
+            return
         # Counted only now: the counters are monotonic (the registry
         # exports them as Prometheus counters), so the fallback paths
         # above must never have to un-count.
@@ -702,7 +692,7 @@ class AsyncScheduler:
         )
         result = ServeResult(
             c=md.c, request_id=rid, rung="sharded", device="fleet",
-            degraded=degraded, verified=verified, service_s=seconds,
+            degraded=degraded, verified=bool(passed), service_s=seconds,
             queue_wait_s=dispatched - request.arrival_s,
             degradations=[("fleet:sharded", f"lost {d}")
                           for d in md.lost_devices],

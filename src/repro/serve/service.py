@@ -21,6 +21,11 @@ One request flows through five gates:
    rung is quarantined and the request re-served by the next rung.
 5. **accounting** — counters, the incident log, and deadline tracking.
 
+:meth:`GemmService.submit` and :meth:`GemmService.submit_batch` share
+this one path; they differ only in how a device rung launches the
+pending requests (one routine call, or one pipelined
+:class:`~repro.gemm.batched.BatchedGemm`).
+
 Periodic known-answer canary GEMMs probe quarantined kernels and
 re-admit them after ``canary_passes`` consecutive clean runs.
 
@@ -43,10 +48,12 @@ from repro.devices.specs import DeviceSpec
 from repro.errors import (
     AdmissionError,
     CLError,
+    InvalidBatchError,
     InvalidRequestError,
     MeasurementTimeout,
 )
 from repro.clsim.trace import attach_tracer
+from repro.gemm.batched import BatchedGemm
 from repro.gemm.reference import reference_gemm, relative_error
 from repro.gemm.routine import validate_gemm_request
 from repro.obs import NULL_OBS, Observability, bridge_records
@@ -154,10 +161,10 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class GemmCall:
-    """One GEMM problem, as the batch path carries it.
+    """One GEMM problem, as the request path carries it.
 
-    A value object the async scheduler queues and
-    :meth:`GemmService.submit_batch` consumes; ``validate`` returns a
+    A value object the async scheduler queues and the service's
+    request path consumes; ``validate`` returns a
     normalized copy (arrays cast to the service's dtype, transposes
     upper-cased) or raises :class:`~repro.errors.InvalidRequestError`.
     """
@@ -264,13 +271,8 @@ class GemmService:
         )
         self.breakers: Dict[str, CircuitBreaker] = {}
         for rung in self.ladder.rungs:
-            if rung.device and rung.device not in self.breakers:
-                self.breakers[rung.device] = CircuitBreaker(
-                    rung.device,
-                    failure_threshold=self.config.breaker_failure_threshold,
-                    cooldown_ticks=self.config.breaker_cooldown,
-                    probe_successes=self.config.breaker_probe_successes,
-                )
+            if rung.device:
+                self._ensure_breaker(rung.device)
         self.verifier = FreivaldsVerifier(
             seed=self.config.seed,
             rounds=self.config.verify_rounds,
@@ -307,29 +309,31 @@ class GemmService:
         #: refuses to serve through (see :mod:`repro.analyze`).  Filled
         #: at construction and again per admitted device: a rung's
         #: kernel never changes while it is on the ladder.
-        self._static_rejected: Dict[str, str] = self._verify_rungs()
+        self._static_rejected: Dict[str, str] = {}
+        self._verify_rung_group(self.ladder.rungs)
         self._tick = 0
         self._backlog_s = 0.0
         #: Small-GEMM throughput ledger (see :class:`BatchingAccount`).
         self.small_gemm = BatchingAccount()
         self._canary_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def _verify_rungs(self) -> Dict[str, str]:
-        """Statically verify every device rung's kernel up front.
+    def _ensure_breaker(self, device: str) -> None:
+        if device not in self.breakers:
+            self.breakers[device] = CircuitBreaker(
+                device,
+                failure_threshold=self.config.breaker_failure_threshold,
+                cooldown_ticks=self.config.breaker_cooldown,
+                probe_successes=self.config.breaker_probe_successes,
+            )
+
+    def _verify_rung_group(self, rungs: Sequence[Rung]) -> None:
+        """Statically verify each device rung's kernel before it serves.
 
         A failing rung is never attempted — its launch failure is a
         foregone conclusion the prover can state in advance — and the
         refusal is incident-logged (request_id -1: a service-lifetime
         decision, not a per-request one) and counted.
         """
-        rejected: Dict[str, str] = {}
-        self._verify_rung_group(self.ladder.rungs, rejected)
-        return rejected
-
-    def _verify_rung_group(
-        self, rungs: Sequence[Rung], rejected: Dict[str, str]
-    ) -> None:
-        """Run the static gate over ``rungs``, recording refusals."""
         from repro.analyze.verifier import StaticVerifier
 
         verifiers: Dict[str, StaticVerifier] = {}
@@ -341,7 +345,7 @@ class GemmService:
             )
             rule = verifier.gate(rung.params)
             if rule is not None:
-                rejected[rung.key] = rule
+                self._static_rejected[rung.key] = rule
                 self.counters.static_rejects += 1
                 self.log.record(
                     -1, "static_reject", device=rung.device, rung=rung.name,
@@ -398,266 +402,15 @@ class GemmService:
         request returns a numerically correct :class:`ServeResult`.
         """
         self._tick += 1
-        tick = self._tick
-        rid = tick if request_id is None else request_id
-        with self.obs.trace("serve.request", request_id=rid) as root:
-            self._trace_id = root.trace_id
-            try:
-                result = self._submit_gates(
-                    rid, tick, a, b, c, alpha, beta, transa, transb,
-                    deadline_s, arrival_dt_s,
-                )
-                root.set(rung=result.rung, device=result.device,
-                         degraded=result.degraded,
-                         deadline_missed=result.deadline_missed)
-            finally:
-                self._trace_id = ""
-        result.trace_id = root.trace_id
+        rid = self._tick if request_id is None else request_id
+        (result,) = self._serve(
+            [GemmCall(a, b, c, alpha, beta, transa, transb)], [rid],
+            deadline_s, arrival_dt_s, batched=False,
+        )
         return result
 
     __call__ = submit
 
-    def _submit_gates(
-        self, rid, tick, a, b, c, alpha, beta, transa, transb,
-        deadline_s, arrival_dt_s,
-    ) -> ServeResult:
-        cfg = self.config
-        self.counters.requests += 1
-
-        # Gate 1: validation (typed errors, no device work).
-        with self.obs.span("gate.validate"):
-            try:
-                call = GemmCall(a, b, c, alpha, beta, transa,
-                                transb).validate(self.dtype)
-            except InvalidRequestError as exc:
-                self.counters.invalid += 1
-                self.log.record(rid, "invalid", detail=str(exc),
-                                trace_id=self._trace_id)
-                raise
-        a, b, c, transa, transb = (call.a, call.b, call.c,
-                                   call.transa, call.transb)
-        M, N, K = call.dims()
-
-        # Gate 2: admission control (bounded simulated backlog).
-        with self.obs.span("gate.admission") as admission:
-            dt = cfg.interarrival_s if arrival_dt_s is None else arrival_dt_s
-            self._backlog_s = max(0.0, self._backlog_s - max(0.0, dt))
-            admission.set(backlog_ms=round(self._backlog_s * 1e3, 6))
-            if self._backlog_s > cfg.max_backlog_s:
-                self.counters.shed += 1
-                admission.set(outcome="shed")
-                self.log.record(
-                    rid, "shed",
-                    detail=(f"backlog {self._backlog_s * 1e3:.3f} ms exceeds "
-                            f"budget {cfg.max_backlog_s * 1e3:.3f} ms"),
-                    trace_id=self._trace_id,
-                )
-                # The backlog drains at one simulated second per second
-                # of arrivals, so the excess over the budget *is* the
-                # time until a resubmission clears admission.
-                raise AdmissionError(
-                    f"request {rid} shed: simulated backlog "
-                    f"{self._backlog_s * 1e3:.3f} ms exceeds the "
-                    f"{cfg.max_backlog_s * 1e3:.3f} ms budget",
-                    retry_after_s=self._backlog_s - cfg.max_backlog_s,
-                )
-            admission.set(outcome="admitted")
-        self.counters.admitted += 1
-        queue_wait = self._backlog_s
-        deadline = cfg.default_deadline_s if deadline_s is None else deadline_s
-
-        # Quarantine maintenance: periodic known-answer canaries.
-        self._maybe_canaries(tick, rid)
-
-        # Gates 3+4: the ladder with verification.
-        result = self._serve_ladder(
-            rid, tick, a, b, c, alpha, beta, transa, transb,
-            M, N, K, queue_wait, deadline,
-        )
-
-        # Gate 5: accounting.
-        self._backlog_s += result.service_s
-        self.counters.completed += 1
-        self.counters.count_rung(result.rung)
-        if result.degraded:
-            self.counters.degraded += 1
-        if self._service_hist is not None:
-            self._service_hist.observe(result.service_s)
-            self._wait_hist.observe(result.queue_wait_s)
-        if deadline is not None and queue_wait + result.service_s > deadline:
-            result.deadline_missed = True
-            self.counters.deadline_missed += 1
-            self.log.record(
-                rid, "deadline_missed", device=result.device,
-                rung=result.rung,
-                detail=(f"served in {(queue_wait + result.service_s) * 1e3:.3f}"
-                        f" ms against a {deadline * 1e3:.3f} ms deadline"),
-                trace_id=self._trace_id,
-            )
-        return result
-
-    def _serve_ladder(
-        self, rid, tick, a, b, c, alpha, beta, transa, transb,
-        M, N, K, queue_wait, deadline,
-    ) -> ServeResult:
-        cfg = self.config
-        spent = 0.0
-        degradations: List[Tuple[str, str]] = []
-
-        def degrade(rung: Rung, reason: str) -> None:
-            degradations.append((rung.key, reason))
-            if self._fallbacks is not None:
-                self._fallbacks.labels(rung=rung.key).inc()
-            self.log.record(rid, "degraded", device=rung.device,
-                            rung=rung.name, detail=reason,
-                            trace_id=self._trace_id)
-
-        for rung in self.ladder.rungs:
-            with self.obs.span(f"rung:{rung.key}") as rung_span:
-                if rung.key in self._static_rejected:
-                    rung_span.set(outcome="skipped", reason="static_reject")
-                    degrade(
-                        rung,
-                        "static analysis: "
-                        f"{self._static_rejected[rung.key]}",
-                    )
-                    continue
-                if rung.key in self._quarantined:
-                    rung_span.set(outcome="skipped", reason="quarantined")
-                    degrade(rung, "kernel quarantined")
-                    continue
-                breaker = self.breakers.get(rung.device) if rung.device else None
-                if breaker is not None:
-                    was_open = breaker.state is BreakerState.OPEN
-                    allowed = breaker.allow(tick)
-                    with self.obs.span("breaker", device=rung.device,
-                                       state=breaker.state.value,
-                                       allowed=allowed):
-                        pass
-                    if not allowed:
-                        rung_span.set(outcome="skipped", reason="breaker_open")
-                        degrade(rung, "circuit breaker open")
-                        continue
-                    if was_open and breaker.state is BreakerState.HALF_OPEN:
-                        self.log.record(rid, "breaker_probe",
-                                        device=rung.device, rung=rung.name,
-                                        trace_id=self._trace_id)
-                if deadline is not None and not rung.is_reference:
-                    remaining = deadline - queue_wait - spent
-                    predicted = rung.predict_s(M, N, K)
-                    if predicted > remaining:
-                        rung_span.set(outcome="skipped", reason="deadline")
-                        degrade(
-                            rung,
-                            f"deadline: predicted {predicted * 1e3:.3f} ms > "
-                            f"remaining {max(remaining, 0.0) * 1e3:.3f} ms",
-                        )
-                        continue
-                injector = self._salted_injector(f"req:{rid}:rung:{rung.key}")
-                attempt = self._rung_attempt(rung, injector, a, b, c,
-                                             alpha, beta, transa, transb)
-                try:
-                    (out, seconds), records = call_with_timeout(
-                        attempt, cfg.attempt_timeout_s
-                    )
-                except (CLError, MeasurementTimeout) as exc:
-                    rung_span.set(outcome="failed",
-                                  error=type(exc).__name__)
-                    if breaker is not None and breaker.record_failure(tick):
-                        self.counters.breaker_trips += 1
-                        self.log.record(
-                            rid, "breaker_trip", device=rung.device,
-                            rung=rung.name,
-                            detail=f"opened after: {exc}",
-                            trace_id=self._trace_id,
-                        )
-                    degrade(rung, f"{type(exc).__name__}: {exc}")
-                    continue
-                bridge_records(self.obs, records)
-                if breaker is not None:
-                    prior = breaker.state
-                    breaker.record_success(tick)
-                    if (prior is BreakerState.HALF_OPEN
-                            and breaker.state is BreakerState.CLOSED):
-                        self.log.record(rid, "breaker_close",
-                                        device=rung.device, rung=rung.name,
-                                        trace_id=self._trace_id)
-
-                # Gate 4: probabilistic result verification.
-                verified = False
-                if not rung.is_reference and (
-                        self._unit("verify", rid) < cfg.verify_rate):
-                    with self.obs.span("verify.freivalds",
-                                       rounds=cfg.verify_rounds) as vspan:
-                        check = self.verifier.check(
-                            a, b, out, alpha, beta, c, transa, transb,
-                            key=f"req:{rid}",
-                        )
-                        vspan.set(passed=check.passed)
-                    if not check.passed:
-                        rung_span.set(outcome="corrupt")
-                        self.counters.corruption_caught += 1
-                        self.log.record(
-                            rid, "corruption", device=rung.device,
-                            rung=rung.name,
-                            detail=(f"Freivalds residual "
-                                    f"{check.max_residual:.3e} "
-                                    f"> tolerance {check.tolerance:.3e}"),
-                            trace_id=self._trace_id,
-                        )
-                        self._quarantine(rung, rid)
-                        spent += seconds  # the corrupt attempt burned real time
-                        degrade(rung, "result corruption caught; re-serving")
-                        continue
-                    verified = True
-                    self.counters.verified += 1
-                rung_span.set(outcome="served", verified=verified,
-                              service_ms=round((spent + seconds) * 1e3, 6))
-                if not rung.is_reference and max(M, N, K) <= SMALL_GEMM_DIM:
-                    # A stand-alone serve is its own sync baseline.
-                    self.small_gemm.add(2.0 * M * N * K, seconds, seconds)
-                return ServeResult(
-                    c=out, request_id=rid, rung=rung.name, device=rung.device,
-                    degraded=bool(degradations), verified=verified,
-                    service_s=spent + seconds, queue_wait_s=queue_wait,
-                    degradations=degradations,
-                )
-        # Unreachable: the reference rung cannot fault, cannot corrupt,
-        # and is never quarantined, breaker-gated, or deadline-skipped.
-        raise AssertionError("degradation ladder exhausted")
-
-    def _rung_attempt(self, rung, injector, a, b, c, alpha, beta,
-                      transa, transb):
-        """Build the watchdogged attempt callable for one rung try.
-
-        Returns ``((c, seconds), records)`` where *records* are the
-        clsim commands traced during the attempt (empty with tracing off
-        or on the host rung).  The command tracer detaches inside the
-        callable, so a timed-out attempt leaves the queue unwrapped; the
-        records are bridged into spans by the caller on the main thread.
-        """
-        if not self.obs.enabled or rung.is_reference:
-            return lambda: (
-                rung.call(a, b, c, alpha, beta, transa, transb,
-                          injector=injector),
-                (),
-            )
-
-        def attempt():
-            routine = rung.routine(injector)  # may raise: a build fault
-            tracer = attach_tracer(routine.queue)
-            try:
-                return (
-                    rung.call(a, b, c, alpha, beta, transa, transb,
-                              injector=injector),
-                    tracer.records,
-                )
-            finally:
-                tracer.detach()
-
-        return attempt
-
-    # -- the batch request path ----------------------------------------
     def submit_batch(
         self,
         members: Sequence[GemmCall],
@@ -679,87 +432,116 @@ class GemmService:
         weakens the correctness story.  Returns one
         :class:`ServeResult` per member, in order.
         """
-        from repro.errors import InvalidBatchError
-        from repro.gemm.batched import BatchedGemm
-
-        cfg = self.config
         self._tick += 1
-        tick = self._tick
         n = len(members)
         if n == 0:
             raise InvalidBatchError("empty batch")
-        if request_ids is None:
-            rids = [tick] * n
-        else:
-            rids = list(request_ids)
-            if len(rids) != n:
-                raise InvalidBatchError(
-                    f"{len(rids)} request ids for {n} members"
-                )
+        rids = [self._tick] * n if request_ids is None else list(request_ids)
+        if len(rids) != n:
+            raise InvalidBatchError(f"{len(rids)} request ids for {n} members")
+        return self._serve(members, rids, deadline_s, arrival_dt_s,
+                           batched=True)
+
+    def _serve(self, calls, rids, deadline_s, arrival_dt_s,
+               batched: bool) -> List[ServeResult]:
+        """The one request path: all five gates for ``calls`` at the
+        current tick, inside one trace.
+
+        A stand-alone request and a batch differ only in how a device
+        rung launches them (see :meth:`_launch`), in the wording of
+        their incident records, and in when a corrupt attempt's time
+        reaches the backlog.
+        """
+        cfg = self.config
+        tick = self._tick
+        n = len(calls)
         self.counters.requests += n
-        with self.obs.trace("serve.batch", members=n,
-                            request_id=rids[0]) as root:
+        with self.obs.trace("serve.batch" if batched else "serve.request",
+                            request_id=rids[0], members=n) as root:
             self._trace_id = root.trace_id
             try:
-                # Gate 1: the whole batch validates before any member runs.
-                with self.obs.span("gate.validate", members=n):
-                    normalized = []
-                    for i, member in enumerate(members):
-                        try:
-                            normalized.append(member.validate(self.dtype))
-                        except InvalidRequestError as exc:
-                            self.counters.invalid += n
-                            self.log.record(rids[i], "invalid",
-                                            detail=f"batch member {i}: {exc}",
-                                            trace_id=self._trace_id)
-                            raise InvalidBatchError(
-                                f"member {i}: {exc}", member=i
-                            ) from exc
-
-                # Gate 2: admission — the batch is one unit of backlog.
-                with self.obs.span("gate.admission") as admission:
-                    dt = (cfg.interarrival_s if arrival_dt_s is None
-                          else arrival_dt_s)
-                    self._backlog_s = max(0.0, self._backlog_s - max(0.0, dt))
-                    admission.set(backlog_ms=round(self._backlog_s * 1e3, 6))
-                    if self._backlog_s > cfg.max_backlog_s:
-                        self.counters.shed += n
-                        admission.set(outcome="shed")
-                        self.log.record(
-                            rids[0], "shed",
-                            detail=(f"batch of {n} shed: backlog "
-                                    f"{self._backlog_s * 1e3:.3f} ms exceeds "
-                                    f"budget {cfg.max_backlog_s * 1e3:.3f} ms"),
-                            trace_id=self._trace_id,
-                        )
-                        raise AdmissionError(
-                            f"batch of {n} shed: simulated backlog "
-                            f"{self._backlog_s * 1e3:.3f} ms exceeds the "
-                            f"{cfg.max_backlog_s * 1e3:.3f} ms budget",
-                            retry_after_s=self._backlog_s - cfg.max_backlog_s,
-                        )
-                    admission.set(outcome="admitted")
-                self.counters.admitted += n
+                members = self._admit(calls, rids, arrival_dt_s, batched)
                 queue_wait = self._backlog_s
                 deadline = (cfg.default_deadline_s if deadline_s is None
                             else deadline_s)
+                # Quarantine maintenance: periodic known-answer canaries.
                 self._maybe_canaries(tick, rids[0])
-                results = self._serve_batch_ladder(
-                    BatchedGemm, tick, normalized, rids, queue_wait, deadline,
-                )
-                root.set(members=n, rung=results[0].rung)
+                results = self._walk(members, rids, tick, queue_wait,
+                                     deadline, batched)
             finally:
                 self._trace_id = ""
+            root.set(rung=results[0].rung, device=results[0].device,
+                     degraded=any(r.degraded for r in results),
+                     deadline_missed=any(r.deadline_missed for r in results))
         for result in results:
             result.trace_id = root.trace_id
         return results
 
-    def _serve_batch_ladder(
-        self, batched_cls, tick, members, rids, queue_wait, deadline,
-    ) -> List[ServeResult]:
-        """Gates 3-5 for a batch: one pipelined launch per rung, with
-        per-member verification and per-member fallback on corruption."""
+    def _admit(self, calls, rids, arrival_dt_s,
+               batched: bool) -> List[GemmCall]:
+        """Gates 1-2: validate every call, then admit them as one unit of
+        backlog.  Returns the normalized calls."""
         cfg = self.config
+        n = len(calls)
+
+        # Gate 1: validation (typed errors, no device work).  A batch
+        # validates every member before any member runs.
+        with self.obs.span("gate.validate", members=n):
+            members = []
+            for i, call in enumerate(calls):
+                try:
+                    members.append(call.validate(self.dtype))
+                except InvalidRequestError as exc:
+                    self.counters.invalid += n
+                    self.log.record(
+                        rids[i], "invalid",
+                        detail=f"batch member {i}: {exc}" if batched else str(exc),
+                        trace_id=self._trace_id,
+                    )
+                    if not batched:
+                        raise
+                    raise InvalidBatchError(
+                        f"member {i}: {exc}", member=i
+                    ) from exc
+
+        # Gate 2: admission control (bounded simulated backlog).
+        with self.obs.span("gate.admission") as admission:
+            dt = cfg.interarrival_s if arrival_dt_s is None else arrival_dt_s
+            self._backlog_s = max(0.0, self._backlog_s - max(0.0, dt))
+            admission.set(backlog_ms=round(self._backlog_s * 1e3, 6))
+            if self._backlog_s > cfg.max_backlog_s:
+                self.counters.shed += n
+                admission.set(outcome="shed")
+                who = f"batch of {n}" if batched else f"request {rids[0]}"
+                backlog = f"backlog {self._backlog_s * 1e3:.3f} ms"
+                budget = f"{cfg.max_backlog_s * 1e3:.3f} ms"
+                self.log.record(
+                    rids[0], "shed",
+                    detail=((f"{who} shed: " if batched else "")
+                            + f"{backlog} exceeds budget {budget}"),
+                    trace_id=self._trace_id,
+                )
+                # The backlog drains at one simulated second per second
+                # of arrivals, so the excess over the budget *is* the
+                # time until a resubmission clears admission.
+                raise AdmissionError(
+                    f"{who} shed: simulated {backlog} exceeds the "
+                    f"{budget} budget",
+                    retry_after_s=self._backlog_s - cfg.max_backlog_s,
+                )
+            admission.set(outcome="admitted")
+        self.counters.admitted += n
+        return members
+
+    def _walk(self, members, rids, tick, queue_wait, deadline,
+              batched: bool) -> List[ServeResult]:
+        """Gates 3-5: walk the ladder until every member is served.
+
+        Each rung takes all still-pending members in one launch.  Every
+        result is Freivalds-sampled on its own: a corrupt member
+        quarantines the rung and stays pending for the rungs below,
+        while the others are accounted and returned.
+        """
         n = len(members)
         if n > 1:
             self.counters.batches += 1
@@ -772,7 +554,7 @@ class GemmService:
                 trace_id=self._trace_id,
             )
         pending = list(range(n))
-        outs: List[Optional[ServeResult]] = [None] * n
+        results: List[Optional[ServeResult]] = [None] * n
         spent = [0.0] * n
         degradations: List[List[Tuple[str, str]]] = [[] for _ in range(n)]
 
@@ -781,21 +563,22 @@ class GemmService:
                 degradations[i].append((rung.key, reason))
             if self._fallbacks is not None:
                 self._fallbacks.labels(rung=rung.key).inc(len(indices))
-            self.log.record(rids[indices[0]], "degraded", device=rung.device,
-                            rung=rung.name,
-                            detail=f"{reason} ({len(indices)} members)",
-                            trace_id=self._trace_id)
+            self.log.record(
+                rids[indices[0]], "degraded", device=rung.device,
+                rung=rung.name,
+                detail=(f"{reason} ({len(indices)} members)" if batched
+                        else reason),
+                trace_id=self._trace_id,
+            )
 
         def finish(i: int, rung: Rung, out, seconds: float,
-                   verified: bool, standalone_s: Optional[float] = None) -> None:
+                   standalone_s: float, verified: bool) -> None:
+            # Gate 5: accounting.
             member = members[i]
             service_s = spent[i] + seconds
             if (not rung.is_reference
                     and max(member.dims()) <= SMALL_GEMM_DIM):
-                self.small_gemm.add(
-                    member.flops, seconds,
-                    seconds if standalone_s is None else standalone_s,
-                )
+                self.small_gemm.add(member.flops, seconds, standalone_s)
             self.counters.completed += 1
             self.counters.count_rung(rung.name)
             if degradations[i]:
@@ -809,8 +592,7 @@ class GemmService:
                 service_s=service_s, queue_wait_s=queue_wait,
                 degradations=degradations[i], batch_size=n,
             )
-            if (deadline is not None
-                    and queue_wait + service_s > deadline):
+            if deadline is not None and queue_wait + service_s > deadline:
                 result.deadline_missed = True
                 self.counters.deadline_missed += 1
                 self.log.record(
@@ -821,8 +603,11 @@ class GemmService:
                             f"a {deadline * 1e3:.3f} ms deadline"),
                     trace_id=self._trace_id,
                 )
-            outs[i] = result
-            self._backlog_s += seconds
+            # A batch already charged its members' corrupt attempts to
+            # the backlog as they burned; a stand-alone request charges
+            # its whole service time once served.
+            self._backlog_s += seconds if batched else service_s
+            results[i] = result
 
         for rung in self.ladder.rungs:
             if not pending:
@@ -839,27 +624,39 @@ class GemmService:
                     degrade(rung, "kernel quarantined", pending)
                     continue
                 breaker = self.breakers.get(rung.device) if rung.device else None
-                if breaker is not None and not breaker.allow(tick):
-                    rung_span.set(outcome="skipped", reason="breaker_open")
-                    degrade(rung, "circuit breaker open", pending)
-                    continue
+                if breaker is not None:
+                    was_open = breaker.state is BreakerState.OPEN
+                    allowed = breaker.allow(tick)
+                    with self.obs.span("breaker", device=rung.device,
+                                       state=breaker.state.value,
+                                       allowed=allowed):
+                        pass
+                    if not allowed:
+                        rung_span.set(outcome="skipped", reason="breaker_open")
+                        degrade(rung, "circuit breaker open", pending)
+                        continue
+                    if was_open and breaker.state is BreakerState.HALF_OPEN:
+                        self.log.record(rids[pending[0]], "breaker_probe",
+                                        device=rung.device, rung=rung.name,
+                                        trace_id=self._trace_id)
                 if rung.is_reference:
-                    # The host floor: serve each pending member exactly.
+                    # The host floor cannot fault or corrupt, and is
+                    # never quarantined, breaker-gated or deadline-skipped.
                     for i in pending:
                         m = members[i]
-                        out, seconds = rung.call(
-                            m.a, m.b, m.c, m.alpha, m.beta,
-                            m.transa, m.transb,
-                        )
-                        finish(i, rung, out, seconds, verified=False)
+                        out, seconds = rung.call(m.a, m.b, m.c, m.alpha,
+                                                 m.beta, m.transa, m.transb)
+                        finish(i, rung, out, seconds, seconds, verified=False)
+                    rung_span.set(outcome="served")
                     pending = []
                     continue
                 if deadline is not None:
-                    # Conservative pipelined estimate for the batch.
+                    # Conservative: the members' stand-alone predictions.
                     predicted = sum(
                         rung.predict_s(*members[i].dims()) for i in pending
                     )
-                    remaining = deadline - queue_wait - max(spent[i] for i in pending)
+                    remaining = (deadline - queue_wait
+                                 - max(spent[i] for i in pending))
                     if predicted > remaining:
                         rung_span.set(outcome="skipped", reason="deadline")
                         degrade(
@@ -869,28 +666,9 @@ class GemmService:
                             pending,
                         )
                         continue
-                injector = self._salted_injector(
-                    f"req:{rids[pending[0]]}:batch:{rung.key}"
-                )
-                live = list(pending)
-
-                def attempt(rung=rung, live=live, injector=injector):
-                    routine = rung.routine(injector)
-                    batched = batched_cls(routine)
-                    return batched(
-                        [members[i].a for i in live],
-                        [members[i].b for i in live],
-                        [members[i].c for i in live],
-                        alpha=[members[i].alpha for i in live],
-                        beta=[members[i].beta for i in live],
-                        transa=[members[i].transa for i in live],
-                        transb=[members[i].transb for i in live],
-                    )
-
                 try:
-                    batch_result = call_with_timeout(
-                        attempt, cfg.attempt_timeout_s
-                    )
+                    outs, charged, standalone = self._launch(
+                        rung, members, pending, rids, batched)
                 except (CLError, MeasurementTimeout) as exc:
                     rung_span.set(outcome="failed", error=type(exc).__name__)
                     if breaker is not None and breaker.record_failure(tick):
@@ -904,50 +682,126 @@ class GemmService:
                     degrade(rung, f"{type(exc).__name__}: {exc}", pending)
                     continue
                 if breaker is not None:
+                    prior = breaker.state
                     breaker.record_success(tick)
-                shares = batch_result.member_seconds()
+                    if (prior is BreakerState.HALF_OPEN
+                            and breaker.state is BreakerState.CLOSED):
+                        self.log.record(rids[pending[0]], "breaker_close",
+                                        device=rung.device, rung=rung.name,
+                                        trace_id=self._trace_id)
+
+                # Gate 4: per-member result verification.
                 corrupt: List[int] = []
-                for slot, i in enumerate(live):
-                    m = members[i]
-                    verified = False
-                    if self._unit("verify", rids[i]) < cfg.verify_rate:
-                        check = self.verifier.check(
-                            m.a, m.b, batch_result[slot].c, m.alpha, m.beta,
-                            m.c, m.transa, m.transb, key=f"req:{rids[i]}",
-                        )
-                        if not check.passed:
-                            self.counters.corruption_caught += 1
-                            self.log.record(
-                                rids[i], "corruption", device=rung.device,
-                                rung=rung.name,
-                                detail=(f"Freivalds residual "
-                                        f"{check.max_residual:.3e} "
-                                        f"> tolerance {check.tolerance:.3e}"),
-                                trace_id=self._trace_id,
-                            )
-                            # The corrupt attempt burned real device time:
-                            # it counts against both the member's service
-                            # accounting and the admission backlog.
-                            spent[i] += shares[slot]
-                            self._backlog_s += shares[slot]
-                            corrupt.append(i)
-                            continue
-                        verified = True
-                        self.counters.verified += 1
-                    finish(i, rung, batch_result[slot].c, shares[slot],
-                           verified,
-                           standalone_s=batch_result[slot].timings.total_s)
+                for slot, i in enumerate(pending):
+                    passed = self._freivalds(rids[i], members[i], outs[slot],
+                                             rung.device, rung.name)
+                    if passed is False:
+                        # The corrupt attempt burned real device time.
+                        spent[i] += charged[slot]
+                        if batched:
+                            self._backlog_s += charged[slot]
+                        corrupt.append(i)
+                        continue
+                    finish(i, rung, outs[slot], charged[slot],
+                           standalone[slot], verified=bool(passed))
                 if corrupt:
-                    rung_span.set(outcome="partial_corrupt",
-                                  corrupt=len(corrupt))
+                    rung_span.set(
+                        outcome=("corrupt" if len(corrupt) == len(pending)
+                                 else "partial_corrupt"),
+                        corrupt=len(corrupt),
+                    )
                     self._quarantine(rung, rids[corrupt[0]])
                     degrade(rung, "result corruption caught; re-serving",
                             corrupt)
                 else:
                     rung_span.set(outcome="served")
                 pending = corrupt
-        assert not pending, "batch ladder exhausted with members pending"
-        return [r for r in outs if r is not None]
+        assert not pending, "degradation ladder exhausted with members pending"
+        return results
+
+    def _launch(self, rung: Rung, members, live, rids, batched: bool):
+        """Run the ``live`` members through one device rung, under the
+        watchdog.
+
+        Returns three per-member lists: the results, the simulated
+        seconds charged to each, and each one's stand-alone seconds
+        (the small-GEMM ledger's sync baseline).  A batch is one
+        :class:`~repro.gemm.batched.BatchedGemm` pipeline that charges
+        each member its share.  A stand-alone request is one routine
+        call whose clsim commands, traced while it runs, are bridged
+        into spans here on the main thread; the tracer detaches inside
+        the attempt, so a timed-out attempt leaves the queue unwrapped.
+        """
+        timeout = self.config.attempt_timeout_s
+        if batched:
+            injector = self._salted_injector(
+                f"req:{rids[live[0]]}:batch:{rung.key}")
+            batch = [members[i] for i in live]
+
+            def attempt():
+                return BatchedGemm(rung.routine(injector))(
+                    [m.a for m in batch], [m.b for m in batch],
+                    [m.c for m in batch],
+                    alpha=[m.alpha for m in batch],
+                    beta=[m.beta for m in batch],
+                    transa=[m.transa for m in batch],
+                    transb=[m.transb for m in batch],
+                )
+
+            done = call_with_timeout(attempt, timeout)
+            return (done.matrices, done.member_seconds(),
+                    [r.timings.total_s for r in done.results])
+        (i,) = live
+        m = members[i]
+        injector = self._salted_injector(f"req:{rids[i]}:rung:{rung.key}")
+
+        def attempt():
+            if not self.obs.enabled:
+                return rung.call(m.a, m.b, m.c, m.alpha, m.beta, m.transa,
+                                 m.transb, injector=injector), ()
+            # May raise: a build fault.
+            tracer = attach_tracer(rung.routine(injector).queue)
+            try:
+                return rung.call(m.a, m.b, m.c, m.alpha, m.beta, m.transa,
+                                 m.transb, injector=injector), tracer.records
+            finally:
+                tracer.detach()
+
+        (out, seconds), records = call_with_timeout(attempt, timeout)
+        bridge_records(self.obs, records)
+        return [out], [seconds], [seconds]
+
+    def _freivalds(self, rid: int, call: GemmCall, out, device: str,
+                   rung: str, note: str = "") -> Optional[bool]:
+        """Gate 4 for one served result: a seeded Freivalds check, when
+        request ``rid`` is sampled (``verify_rate``).
+
+        Returns ``None`` when it is not sampled, else whether the check
+        passed.  A pass counts as verified; a failure is counted and
+        incident-logged as corruption (``note`` ends the record's
+        detail), and the caller re-serves the request.
+        """
+        cfg = self.config
+        if self._unit("verify", rid) >= cfg.verify_rate:
+            return None
+        with self.obs.span("verify.freivalds",
+                           rounds=cfg.verify_rounds) as vspan:
+            check = self.verifier.check(
+                call.a, call.b, out, call.alpha, call.beta, call.c,
+                call.transa, call.transb, key=f"req:{rid}",
+            )
+            vspan.set(passed=check.passed)
+        if check.passed:
+            self.counters.verified += 1
+            return True
+        self.counters.corruption_caught += 1
+        self.log.record(
+            rid, "corruption", device=device, rung=rung,
+            detail=(f"Freivalds residual {check.max_residual:.3e} "
+                    f"> tolerance {check.tolerance:.3e}{note}"),
+            trace_id=self._trace_id,
+        )
+        return False
 
     # -- hot swap -------------------------------------------------------
     def hot_swap(self, device: str, params, request_id: int = -1) -> Rung:
@@ -1021,15 +875,9 @@ class GemmService:
                 trace_id=self._trace_id,
             )
             return rungs
-        self._verify_rung_group(rungs, self._static_rejected)
+        self._verify_rung_group(rungs)
         name = rungs[0].device
-        if name not in self.breakers:
-            self.breakers[name] = CircuitBreaker(
-                name,
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown_ticks=self.config.breaker_cooldown,
-                probe_successes=self.config.breaker_probe_successes,
-            )
+        self._ensure_breaker(name)
         self.counters.fleet_admits += 1
         self.log.record(
             request_id, "fleet_admit", device=name,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.clsim.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
-from repro.serve import GemmService, ServiceConfig
+from repro.serve import GemmCall, GemmService, ServiceConfig
 from repro.serve.incident import ServiceCounters
 from repro.serve.soak import SoakConfig, SoakReport, run_soak
 
@@ -88,6 +88,29 @@ class TestSingleRequestTrace:
                                 rng.standard_normal((32, 32)))
         assert result.trace_id == ""
         assert service.obs.traces == []
+
+
+class TestBatchTrace:
+    def test_batch_trace_covers_the_breaker_under_its_rung(self):
+        service = GemmService("tahiti", "d", obs=Observability(seed=7))
+        rng = np.random.default_rng(7)
+        calls = [GemmCall(rng.standard_normal((32, 32)),
+                          rng.standard_normal((32, 32))) for _ in range(3)]
+        results = service.submit_batch(calls)
+        assert len(service.obs.traces) == 1
+        trace = service.obs.traces[0]
+        names = trace.span_names()
+        assert names[0] == "serve.batch"
+        assert "gate.validate" in names and "gate.admission" in names
+        # The batch walk gates device rungs on the breaker like a
+        # stand-alone request, and its trace shows it.
+        breaker = next(s for s in trace.spans if s.name == "breaker")
+        assert breaker.attributes["allowed"] is True
+        rung = trace.spans[breaker.parent_id]
+        assert rung.name == "rung:tahiti:tuned"
+        assert rung.attributes["outcome"] == "served"
+        assert [r.rung for r in results] == ["tuned"] * 3
+        assert all(r.trace_id == trace.trace_id for r in results)
 
 
 class TestDeterminism:

@@ -8,7 +8,9 @@ import pytest
 from repro.clsim.faults import FaultInjector, FaultPlan, FaultRule
 from repro.errors import AdmissionError, InvalidRequestError
 from repro.gemm.reference import reference_gemm, relative_error
-from repro.serve import BreakerState, GemmService, IncidentLog, ServiceConfig
+from repro.serve import (
+    BreakerState, GemmCall, GemmService, IncidentLog, ServiceConfig,
+)
 
 
 def injector(seed, *rules):
@@ -20,6 +22,22 @@ def problem(rng):
     a = rng.standard_normal((48, 32))
     b = rng.standard_normal((32, 40))
     return a, b
+
+
+def batch_of(members):
+    """Serve ``(a, b)`` as a batch of ``members`` identical requests."""
+    def serve(service, a, b):
+        return service.submit_batch([GemmCall(a, b)] * members)
+    return serve
+
+
+#: The request paths, each returning a list of results: a stand-alone
+#: request, and 1- and 3-member batches (one logical tick each).
+SERVE_PATHS = pytest.mark.parametrize(
+    "serve",
+    [lambda service, a, b: [service.submit(a, b)], batch_of(1), batch_of(3)],
+    ids=["submit", "batch1", "batch3"],
+)
 
 
 class TestCleanPath:
@@ -131,7 +149,9 @@ class TestAdmission:
 
 
 class TestBreakers:
-    def test_persistent_launch_failure_trips_the_device_breaker(self, problem):
+    @SERVE_PATHS
+    def test_persistent_launch_failure_trips_the_device_breaker(
+            self, problem, serve):
         config = ServiceConfig(
             breaker_failure_threshold=3, breaker_cooldown=5,
             breaker_probe_successes=2,
@@ -142,19 +162,24 @@ class TestBreakers:
         )
         a, b = problem
         # Request 1: tuned and direct both fail (2 failures); request 2's
-        # first failure reaches the threshold and trips the breaker.
-        r1 = service.submit(a, b)
-        r2 = service.submit(a, b)
-        assert r1.rung == r2.rung == "reference"
+        # first failure reaches the threshold and trips the breaker.  A
+        # batch launch is one attempt, whatever its size.
+        r1 = serve(service, a, b)
+        r2 = serve(service, a, b)
+        assert {r.rung for r in r1 + r2} == {"reference"}
         expected = reference_gemm("N", "N", 1.0, a, b, 0.0)
-        assert relative_error(r2.c, expected) < 1e-12
+        for r in r2:
+            assert relative_error(r.c, expected) < 1e-12
         assert service.breakers["tahiti"].state is BreakerState.OPEN
         assert service.counters.breaker_trips == 1
+        assert len(service.log.by_kind("breaker_trip")) == 1
         # While open, device rungs are skipped without being attempted.
-        r3 = service.submit(a, b)
-        assert any("circuit breaker open" in why for _, why in r3.degradations)
+        for r in serve(service, a, b):
+            assert any("circuit breaker open" in why
+                       for _, why in r.degradations)
 
-    def test_breaker_recovers_once_the_device_heals(self, problem):
+    @SERVE_PATHS
+    def test_breaker_recovers_once_the_device_heals(self, problem, serve):
         config = ServiceConfig(
             breaker_failure_threshold=2, breaker_cooldown=3,
             breaker_probe_successes=2,
@@ -164,14 +189,15 @@ class TestBreakers:
             fault_injector=injector(3, FaultRule(kind="launch", rate=1.0)),
         )
         a, b = problem
-        service.submit(a, b)  # trips at the second rung failure
+        serve(service, a, b)  # trips at the second rung failure
         assert service.breakers["tahiti"].state is BreakerState.OPEN
         service._base_injector = None  # the fault storm ends
         while service.breakers["tahiti"].state is not BreakerState.CLOSED:
-            result = service.submit(a, b)
-        assert result.rung == "tuned"
-        assert service.log.by_kind("breaker_probe")
-        assert service.log.by_kind("breaker_close")
+            results = serve(service, a, b)
+        assert {r.rung for r in results} == {"tuned"}
+        # The incident log explains the recovery: one probe, one close.
+        assert len(service.log.by_kind("breaker_probe")) == 1
+        assert len(service.log.by_kind("breaker_close")) == 1
 
 
 class TestQuarantineLifecycle:
@@ -208,6 +234,39 @@ class TestQuarantineLifecycle:
         assert service.counters.canaries_run == 4
         assert len(service.log.by_kind("canary_pass")) == 4
         assert len(service.log.by_kind("readmit")) == 2
+
+    def test_corrupt_batch_member_is_reserved_below(self, problem):
+        # Result faults roll per kernel launch and each batch member is
+        # its own launch, so a low rate corrupts some members of one
+        # batch and spares the others.
+        service = GemmService(
+            "tahiti", "d",
+            fault_injector=injector(0, FaultRule(kind="result", rate=0.4)),
+        )
+        a, b = problem
+        expected = reference_gemm("N", "N", 1.0, a, b, 0.0)
+        results = service.submit_batch([GemmCall(a, b)] * 3,
+                                       request_ids=[1, 2, 3])
+        rungs = [r.rung for r in results]
+        assert "tuned" in rungs and rungs != ["tuned"] * 3
+        for r in results:
+            assert relative_error(r.c, expected) < 1e-12
+            assert r.batch_size == 3
+        corrupt = [r for r in results if r.rung != "tuned"]
+        # Each corrupt member was caught, blamed on the tuned rung, and
+        # re-served by a rung below it; the clean members kept tuned.
+        assert service.counters.corruption_caught >= len(corrupt)
+        assert "tahiti:tuned" in service.quarantined
+        for r in corrupt:
+            assert r.degraded
+            assert r.degradations[0] == (
+                "tahiti:tuned", "result corruption caught; re-serving")
+            assert any(i.request_id == r.request_id
+                       and i.rung == "tuned"
+                       for i in service.log.by_kind("corruption"))
+        for r in results:
+            if r.rung == "tuned":
+                assert r.verified and not r.degraded
 
     def test_failing_canaries_keep_the_kernel_quarantined(self, problem):
         config = ServiceConfig(canary_interval=5, canary_passes=2)
