@@ -432,13 +432,17 @@ class GemmService:
         weakens the correctness story.  Returns one
         :class:`ServeResult` per member, in order.
         """
-        self._tick += 1
+        # A refused batch is never served, so it must not advance the
+        # tick that drives breaker cool-downs and the canary schedule.
         n = len(members)
         if n == 0:
             raise InvalidBatchError("empty batch")
-        rids = [self._tick] * n if request_ids is None else list(request_ids)
-        if len(rids) != n:
+        rids = None if request_ids is None else list(request_ids)
+        if rids is not None and len(rids) != n:
             raise InvalidBatchError(f"{len(rids)} request ids for {n} members")
+        self._tick += 1
+        if rids is None:
+            rids = [self._tick] * n
         return self._serve(members, rids, deadline_s, arrival_dt_s,
                            batched=True)
 

@@ -11,9 +11,10 @@ Because the simulator's measurement noise is a deterministic function of
 budget scores every candidate identically to a serial one — and
 therefore selects the identical winning kernel.
 
-Failures are classified inside the worker into the paper's categories
-(generation / build / launch) so outcomes cross the executor boundary as
-plain data rather than exceptions.
+One evaluator, :func:`evaluate_candidate`, classifies failures inside
+the worker into the paper's categories (generation / build / launch) or
+the resilience layer's, so outcomes cross the executor boundary as plain
+data rather than exceptions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.codegen.params import KernelParams
 from repro.codegen.plan import build_plan
@@ -33,6 +34,7 @@ from repro.errors import (
     MeasurementTimeout,
     ParameterError,
     TransientError,
+    ValidationError,
 )
 from repro.perfmodel.model import (
     check_execution_quirks,
@@ -40,8 +42,10 @@ from repro.perfmodel.model import (
     estimate_kernel_time,
 )
 from repro.tuner.resilience import (
+    SINGLE_SHOT,
     ResilienceConfig,
     call_with_timeout,
+    resilience_policy,
     robust_aggregate,
     run_with_retry,
 )
@@ -52,13 +56,15 @@ __all__ = [
     "CandidateEvaluator",
     "measure_once",
     "evaluate_candidate",
-    "evaluate_candidate_resilient",
+    "run_attempts",
 ]
 
 #: Outcome failure categories, matching TuningStats counters.
 FAILURE_GENERATION = "generation"
 FAILURE_BUILD = "build"
 FAILURE_LAUNCH = "launch"
+#: Finalist verification: the kernel computed a wrong result.
+FAILURE_VALIDATION = "validation"
 #: Resilience-layer categories: the retry budget was exhausted.
 FAILURE_TRANSIENT = "transient"
 FAILURE_TIMEOUT = "timeout"
@@ -122,23 +128,55 @@ def measure_once(
     return estimate_kernel_time(spec, params, M, N, K, noise=noise).gflops
 
 
-def evaluate_candidate(
-    spec: DeviceSpec, task: EvalTask, noise: bool = True
+def run_attempts(
+    task: EvalTask,
+    attempt: Callable[[int], Tuple[Optional[float], Tuple[str, ...]]],
+    config: ResilienceConfig,
 ) -> EvalOutcome:
-    """Measure one task, classifying failures into paper categories."""
-    M, N, K = task.shape
-    try:
-        gflops = measure_once(spec, task.params, M, N, K, noise=noise)
-    except ParameterError:
-        return EvalOutcome(task.params, task.shape, failure=FAILURE_GENERATION)
-    except BuildError as exc:
-        return EvalOutcome(
-            task.params, task.shape, failure=FAILURE_BUILD,
-            build_log=exc.build_log,
+    """The tuner's one attempt loop, for measurement and verification.
+
+    ``attempt(n)`` gets the 0-based attempt number, so deterministic
+    fault decisions re-roll per retry, and returns its rate and the
+    fault classes it absorbed without failing (timing outliers).  Each
+    attempt runs under ``config``'s watchdog; transient faults and
+    timeouts are retried with backoff.  The outcome carries the rate or
+    the failure's category, the retries spent and every absorbed fault.
+    """
+    retries = 0
+    faults: List[str] = []
+
+    def watched(n: int) -> Optional[float]:
+        nonlocal retries
+        retries = n
+        value, absorbed = call_with_timeout(
+            lambda: attempt(n), config.measure_timeout_s
         )
-    except LaunchError:
-        return EvalOutcome(task.params, task.shape, failure=FAILURE_LAUNCH)
-    return EvalOutcome(task.params, task.shape, gflops=gflops)
+        faults.extend(absorbed)
+        return value
+
+    params, shape = task.params, task.shape
+    build_log = None
+    try:
+        value = run_with_retry(watched, config, on_fault=faults.append)
+    except ParameterError:
+        return EvalOutcome(params, shape, failure=FAILURE_GENERATION)
+    except BuildError as exc:
+        failure, build_log = FAILURE_BUILD, exc.build_log
+        injected = getattr(exc, "injected", False)
+    except LaunchError as exc:
+        failure, injected = FAILURE_LAUNCH, getattr(exc, "injected", False)
+    except ValidationError:
+        failure, injected = FAILURE_VALIDATION, False
+    except MeasurementTimeout:
+        failure, injected = FAILURE_TIMEOUT, True
+    except TransientError:
+        failure, injected = FAILURE_TRANSIENT, True
+    else:
+        return EvalOutcome(params, shape, gflops=value, retries=retries,
+                           faults=tuple(faults))
+    return EvalOutcome(params, shape, failure=failure, retries=retries,
+                       faults=tuple(faults), build_log=build_log,
+                       injected=injected)
 
 
 def _task_fault_key(task: EvalTask) -> str:
@@ -147,98 +185,50 @@ def _task_fault_key(task: EvalTask) -> str:
     return f"{task.params.to_json()}|{M}x{N}x{K}"
 
 
-def evaluate_candidate_resilient(
+def evaluate_candidate(
     spec: DeviceSpec,
     task: EvalTask,
-    noise: bool,
-    injector,
-    config: ResilienceConfig,
+    noise: bool = True,
+    injector=None,
+    config: Optional[ResilienceConfig] = None,
 ) -> EvalOutcome:
-    """Measure one task under fault injection and resilience policies.
+    """Measure one task, classifying failures into paper categories.
 
-    One call owns the candidate's whole failure-handling story: injected
-    build/launch/device-lost faults are retried with backoff (each retry
-    re-rolls the deterministic fault decision via the attempt number),
-    hung measurements are killed by the wall-clock watchdog and retried,
-    and the timing samples are aggregated median-of-k with outlier
-    rejection so spikes cannot bias the score.  Everything is a pure
-    function of ``(spec, task, injector, config)`` — evaluation order and
-    worker count cannot change the outcome.
+    Without a fault plan or config: one attempt, one sample, no watchdog
+    (:data:`SINGLE_SHOT`).  With them, injected faults and hangs are
+    retried and the timing samples aggregated median-of-k, so spikes
+    cannot bias the score.  The outcome is a pure function of ``(spec,
+    task, injector, config)``, whatever the evaluation order or workers.
     """
+    config = resilience_policy(injector, config) or SINGLE_SHOT
+    params = task.params
     M, N, K = task.shape
-    key = _task_fault_key(task)
     device = spec.codename
-    faults: List[str] = []
-    used = {"retries": 0}
+    key = None if injector is None else _task_fault_key(task)
 
-    def one_attempt(attempt: int) -> float:
-        used["retries"] = attempt
+    def attempt(n: int) -> Tuple[float, Tuple[str, ...]]:
         if injector is not None:
-            injector.check_build(device, key, attempt, task.params)
-            injector.check_launch(device, key, attempt, task.params)
-
-        def measured() -> float:
-            if injector is not None:
-                hang = injector.hang_seconds(device, key, attempt, task.params)
-                if hang > 0.0:
-                    time.sleep(hang)
-            return measure_once(spec, task.params, M, N, K, noise=noise)
-
-        base = call_with_timeout(measured, config.measure_timeout_s)
-        samples = max(1, config.samples)
-        values = []
-        for s in range(samples):
-            factor = 1.0
-            if injector is not None:
-                factor = injector.timing_factor(
-                    device, f"{key}|s{s}", attempt, task.params
-                )
-            # A spike multiplies the run's *time*, so it divides the rate.
-            values.append(base / factor)
+            injector.check_build(device, key, n, params)
+            injector.check_launch(device, key, n, params)
+            hang = injector.hang_seconds(device, key, n, params)
+            if hang > 0.0:
+                time.sleep(hang)
+        base = measure_once(spec, params, M, N, K, noise=noise)
+        # A spike multiplies the run's *time*, so it divides the rate.
+        values = [
+            base if injector is None
+            else base / injector.timing_factor(device, f"{key}|s{s}", n, params)
+            for s in range(max(1, config.samples))
+        ]
         rate, outliers = robust_aggregate(values, config.outlier_rel)
-        faults.extend(["timing"] * outliers)
-        return rate
+        return rate, ("timing",) * outliers
 
-    try:
-        gflops = run_with_retry(one_attempt, config, on_fault=faults.append)
-    except ParameterError:
-        return EvalOutcome(task.params, task.shape, failure=FAILURE_GENERATION)
-    except BuildError as exc:
-        return EvalOutcome(
-            task.params, task.shape, failure=FAILURE_BUILD,
-            retries=used["retries"], faults=tuple(faults),
-            build_log=exc.build_log, injected=getattr(exc, "injected", False),
-        )
-    except LaunchError as exc:
-        return EvalOutcome(
-            task.params, task.shape, failure=FAILURE_LAUNCH,
-            retries=used["retries"], faults=tuple(faults),
-            injected=getattr(exc, "injected", False),
-        )
-    except MeasurementTimeout:
-        return EvalOutcome(
-            task.params, task.shape, failure=FAILURE_TIMEOUT,
-            retries=used["retries"], faults=tuple(faults), injected=True,
-        )
-    except TransientError:
-        return EvalOutcome(
-            task.params, task.shape, failure=FAILURE_TRANSIENT,
-            retries=used["retries"], faults=tuple(faults), injected=True,
-        )
-    return EvalOutcome(
-        task.params, task.shape, gflops=gflops,
-        retries=used["retries"], faults=tuple(faults),
-    )
+    return run_attempts(task, attempt, config)
 
 
 def _evaluate_star(args) -> EvalOutcome:
     """Top-level adapter so process pools can pickle the work item."""
-    spec, task, noise, injector, config = args
-    if injector is not None or config is not None:
-        return evaluate_candidate_resilient(
-            spec, task, noise, injector, config or ResilienceConfig()
-        )
-    return evaluate_candidate(spec, task, noise)
+    return evaluate_candidate(*args)
 
 
 class CandidateEvaluator:
@@ -266,24 +256,18 @@ class CandidateEvaluator:
         self.noise = noise
         self.workers = max(1, int(workers))
         self.kind = kind
-        #: Optional :class:`repro.clsim.faults.FaultInjector`; with it (or
-        #: an explicit resilience config) evaluation goes through the
-        #: retry/watchdog/robust-timing path.  Both objects are immutable
-        #: and picklable, so process pools agree with the parent.
+        #: Optional :class:`repro.clsim.faults.FaultInjector` and the
+        #: resilience config that absorbs it (see
+        #: :func:`evaluate_candidate`).  Both objects are immutable and
+        #: picklable, so process pools agree with the parent.
         self.injector = injector
         self.resilience = resilience
-        if injector is not None and resilience is None:
-            self.resilience = ResilienceConfig()
         self._pool: Optional[Executor] = None
         # Guards lazy pool creation/teardown: evaluate() may be called
         # from a fleet worker thread while another thread closes the
         # evaluator (chaos soak churn), and an unguarded check-then-set
         # can leak a second executor.
         self._pool_lock = threading.Lock()
-
-    @property
-    def resilient(self) -> bool:
-        return self.injector is not None or self.resilience is not None
 
     # -- lifecycle -------------------------------------------------------
     def _ensure_pool(self) -> Executor:
@@ -324,31 +308,19 @@ class CandidateEvaluator:
         if not tasks:
             return []
         unique: dict = {}
-        slots: List[int] = []  # per-task index into work_tasks
-        work_tasks: List[EvalTask] = []
+        slots: List[int] = []  # per-task index into work
+        work: List[tuple] = []  # _evaluate_star arguments per unique task
         for t in tasks:
             key = (t.params.cache_key(), t.shape)
             if key not in unique:
-                unique[key] = len(work_tasks)
-                work_tasks.append(t)
+                unique[key] = len(work)
+                work.append((self.spec, t, self.noise, self.injector,
+                             self.resilience))
             slots.append(unique[key])
-        if self.workers == 1 or len(work_tasks) == 1:
-            results = [self._evaluate_one(t) for t in work_tasks]
+        if self.workers == 1 or len(work) == 1:
+            results = [_evaluate_star(w) for w in work]
         else:
-            pool = self._ensure_pool()
-            work = [
-                (self.spec, t, self.noise, self.injector, self.resilience)
-                for t in work_tasks
-            ]
             # Executor.map preserves input order regardless of completion
             # order.
-            results = list(pool.map(_evaluate_star, work))
+            results = list(self._ensure_pool().map(_evaluate_star, work))
         return [results[i] for i in slots]
-
-    def _evaluate_one(self, task: EvalTask) -> EvalOutcome:
-        if self.resilient:
-            return evaluate_candidate_resilient(
-                self.spec, task, self.noise, self.injector,
-                self.resilience or ResilienceConfig(),
-            )
-        return evaluate_candidate(self.spec, task, self.noise)

@@ -38,6 +38,8 @@ from repro.errors import MeasurementTimeout, TransientError
 
 __all__ = [
     "ResilienceConfig",
+    "SINGLE_SHOT",
+    "resilience_policy",
     "call_with_timeout",
     "robust_aggregate",
     "run_with_retry",
@@ -51,10 +53,11 @@ T = TypeVar("T")
 class ResilienceConfig:
     """Knobs of the failure-handling layer.
 
-    The defaults keep a fault-free search's results bit-identical to a
-    search without resilience: clean measurements are deterministic, so
-    the median of ``samples`` equal values is the value itself, and no
-    retry or timeout path is ever taken.
+    Any config keeps a fault-free search's results bit-identical to a
+    search without one: clean measurements are deterministic, so the
+    ``samples`` timing samples are equal and :func:`robust_aggregate`
+    returns that value exactly, and no retry or timeout path is ever
+    taken.  A search without a config runs :data:`SINGLE_SHOT`.
     """
 
     #: Additional attempts after the first for transient faults.
@@ -85,6 +88,20 @@ class ResilienceConfig:
             "samples": self.samples,
             "outlier_rel": self.outlier_rel,
         }
+
+
+#: The policy of a run with neither a fault plan nor a resilience config:
+#: one attempt, one timing sample, no watchdog.
+SINGLE_SHOT = ResilienceConfig(max_retries=0, samples=1)
+
+
+def resilience_policy(injector, config: Optional[ResilienceConfig]
+                      ) -> Optional[ResilienceConfig]:
+    """The resilience config a run uses: ``config`` when given, the
+    defaults for a fault-injected run without one, else ``None``."""
+    if config is None and injector is not None:
+        return ResilienceConfig()
+    return config
 
 
 def call_with_timeout(
@@ -133,9 +150,12 @@ def robust_aggregate(
 
     Samples whose relative deviation from the median exceeds
     ``outlier_rel`` are discarded (an injected timing spike, a paging
-    stall); the survivors' mean is returned.  When every clean sample is
-    identical — as in the deterministic simulator — the aggregate equals
-    the clean value exactly as long as a majority of samples is clean.
+    stall); the survivors' mean is returned, computed as the median plus
+    their mean deviation from it.  That form is exact where a plain mean
+    is not (``(0.1 + 0.1 + 0.1) / 3 != 0.1``): when every clean sample is
+    identical — as in the deterministic simulator — the deviations are
+    zero and the aggregate *is* the clean value, as long as a majority of
+    samples is clean.
     """
     if not values:
         raise ValueError("robust_aggregate needs at least one sample")
@@ -147,7 +167,8 @@ def robust_aggregate(
     survivors = [v for v in values if abs(v - median) / abs(median) <= outlier_rel]
     if not survivors:  # pathological: everything disagrees with the median
         return median, len(values)
-    return sum(survivors) / len(survivors), len(values) - len(survivors)
+    deviation = sum(v - median for v in survivors) / len(survivors)
+    return median + deviation, len(values) - len(survivors)
 
 
 def run_with_retry(

@@ -33,22 +33,15 @@ from repro.codegen.params import KernelParams
 from repro.codegen.space import SpaceRestrictions
 from repro.devices.catalog import get_device_spec
 from repro.devices.specs import DeviceSpec
-from repro.errors import (
-    MeasurementTimeout,
-    SearchInterrupted,
-    TransientError,
-    TuningError,
-    ValidationError,
-)
+from repro.errors import SearchInterrupted, TuningError, ValidationError
 from repro.obs import NULL_OBS
 from repro.persist import dump_json_atomic, load_json_checked
 from repro.tuner.cache import CachedMeasurement, MeasurementCache, params_digest
-from repro.tuner.parallel import CandidateEvaluator, EvalOutcome, EvalTask, measure_once
+from repro.tuner.parallel import (
+    CandidateEvaluator, EvalOutcome, EvalTask, measure_once, run_attempts,
+)
 from repro.tuner.resilience import (
-    Quarantine,
-    ResilienceConfig,
-    call_with_timeout,
-    run_with_retry,
+    SINGLE_SHOT, Quarantine, ResilienceConfig, resilience_policy,
 )
 
 __all__ = [
@@ -245,12 +238,10 @@ class TuningStats:
     def from_dict(cls, d: Dict[str, float]) -> "TuningStats":
         names = {f for f in cls().__dict__}
         kwargs = {k: v for k, v in d.items() if k in names}
-        if "faults_by_class" in kwargs:
-            kwargs["faults_by_class"] = dict(kwargs["faults_by_class"])
-        if "static_rejects_by_rule" in kwargs:
-            kwargs["static_rejects_by_rule"] = dict(kwargs["static_rejects_by_rule"])
-        if "strategy_importance" in kwargs:
-            kwargs["strategy_importance"] = dict(kwargs["strategy_importance"])
+        for name in ("faults_by_class", "static_rejects_by_rule",
+                     "strategy_importance"):
+            if name in kwargs:
+                kwargs[name] = dict(kwargs[name])
         return cls(**kwargs)
 
 
@@ -325,6 +316,10 @@ class SearchEngine:
         it: transient faults retried with backoff, hung measurements
         killed by a watchdog, timings aggregated median-of-k, and
         persistently flaky candidates quarantined.
+
+    Stage 1 and refinement score through one loop; measurement and
+    finalist verification share one attempt loop
+    (:func:`~repro.tuner.parallel.run_attempts`) and one stats tally.
     """
 
     def __init__(
@@ -363,9 +358,7 @@ class SearchEngine:
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.resume = resume
         self.injector = injector
-        self.resilience = resilience
-        if injector is not None and resilience is None:
-            self.resilience = ResilienceConfig()
+        self.resilience = resilience_policy(injector, resilience)
         #: Static pre-measurement gate (see :mod:`repro.analyze`): prunes
         #: candidates the constraint prover shows the simulator would
         #: fail, before spending an evaluation on them.  The gate proves
@@ -437,13 +430,8 @@ class SearchEngine:
     def measure_shape(
         self, params: KernelParams, M: int, N: int, K: int
     ) -> float:
-        """One simulated kernel measurement, in GFlop/s.
-
-        Performs the same build/launch validation the simulator's
-        compiler and queue would: structural plan verification, device
-        resource checks, and execution quirks.  Raises the corresponding
-        error for the stats bookkeeping.
-        """
+        """One simulated kernel measurement, in GFlop/s; raises what
+        :func:`~repro.tuner.parallel.measure_once` raises."""
         return measure_once(
             self.spec, params, M, N, K, noise=self.config.measurement_noise
         )
@@ -466,7 +454,7 @@ class SearchEngine:
         from repro.codegen.layouts import pack_matrix
         from repro.gemm.reference import relative_error
 
-        n = max(params.lcm, params.algorithm.min_k_iterations * params.kwg)
+        n = self._verify_size(params)
         dtype = np.float64 if params.precision == "d" else np.float32
         a = rng.standard_normal((n, n)).astype(dtype)  # this is A^T (K x M)
         b = rng.standard_normal((n, n)).astype(dtype)
@@ -505,34 +493,27 @@ class SearchEngine:
                 f"{params.summary()}"
             )
 
-    def _verify_resilient(
+    @staticmethod
+    def _verify_size(params: KernelParams) -> int:
+        """The smallest launchable square size, which :meth:`verify` runs."""
+        return max(params.lcm, params.algorithm.min_k_iterations * params.kwg)
+
+    def _verify_finalist(
         self, params: KernelParams, rng: np.random.Generator
-    ) -> None:
-        """Run :meth:`verify` under the retry/watchdog policies.
-
-        Without a resilience config this is a plain verify (bit-identical
-        to the non-resilient engine).  With one, transient faults and
-        watchdog timeouts are retried with backoff; the exhausted failure
-        propagates for the caller to quarantine.
-        """
-        if self.resilience is None:
-            self.verify(params, rng)
-            return
-
-        def one_attempt(attempt: int) -> None:
-            if attempt:
-                self.stats.retries += 1
-            call_with_timeout(
-                lambda: self.verify(params, rng, attempt=attempt),
-                self.resilience.measure_timeout_s,
-            )
-
-        def on_fault(kind: str) -> None:
-            self.stats.count_fault(kind)
-            if kind == "timeout":
-                self.stats.timeouts += 1
-
-        run_with_retry(one_attempt, self.resilience, on_fault=on_fault)
+    ) -> bool:
+        """Run :meth:`verify` through the tuner's one attempt loop (each
+        attempt draws fresh operands from ``rng``) and tally it; True
+        when the finalist passed."""
+        n = self._verify_size(params)
+        outcome = run_attempts(
+            EvalTask(params, (n, n, n)),
+            lambda attempt: (self.verify(params, rng, attempt), ()),
+            self.resilience or SINGLE_SHOT,
+        )
+        self._tally(
+            outcome, reason="exhausted retries during finalist verification"
+        )
+        return outcome.ok
 
     # -- batched evaluation with cache layering --------------------------
     def _evaluate_batch(self, tasks: Sequence[EvalTask]) -> List[EvalOutcome]:
@@ -593,46 +574,52 @@ class SearchEngine:
             return False
         return outcome.failure not in ("transient", "timeout")
 
-    def _tally_failure(self, outcome: EvalOutcome) -> None:
-        if outcome.failure == "generation":
-            self.stats.failed_generation += 1
-        elif outcome.failure == "build":
-            self.stats.failed_build += 1
-        elif outcome.failure == "launch":
-            self.stats.failed_launch += 1
-        elif outcome.failure in ("transient", "timeout"):
-            self.stats.failed_transient += 1
+    def _tally(self, outcome: EvalOutcome, counted: bool = True,
+               reason: Optional[str] = None) -> None:
+        """Fold one outcome's retries, faults and failure into the stats.
 
-    def _tally_resilience(self, outcome: EvalOutcome) -> None:
-        """Fold one outcome's retry/fault telemetry into the stats and
-        demote candidates that exhausted their retry budget."""
-        self.stats.retries += outcome.retries
+        A stage-2 sweep point re-measures a candidate already counted, so
+        it passes ``counted=False`` to leave the failure categories alone.
+        A candidate that exhausted its retry budget is demoted, under
+        ``reason`` when given.
+        """
+        stats = self.stats
+        stats.retries += outcome.retries
         for kind in outcome.faults:
-            self.stats.count_fault(kind)
+            stats.count_fault(kind)
             if kind == "timeout":
-                self.stats.timeouts += 1
-        if outcome.failure in ("transient", "timeout"):
-            if self.quarantine.demote(
-                params_digest(outcome.params),
-                f"exhausted retries ({outcome.failure}: {outcome.faults})",
-            ):
-                self.stats.quarantined += 1
+                stats.timeouts += 1
+        failure = outcome.failure
+        if failure is None:
+            return
+        if counted:  # a timeout is a transient failure that hung
+            name = f"failed_{'transient' if failure == 'timeout' else failure}"
+            setattr(stats, name, getattr(stats, name) + 1)
+        if failure in ("transient", "timeout") and self.quarantine.demote(
+            params_digest(outcome.params),
+            reason or f"exhausted retries ({failure}: {outcome.faults})",
+        ):
+            stats.quarantined += 1
 
     def _allowed(self, params: KernelParams) -> bool:
         # An empty quarantine (no fault plan demoted anything) allows
         # every candidate without hashing it.
         return not len(self.quarantine) or self.quarantine.allows(params_digest(params))
 
-    def _gate_batch(self, batch: List[KernelParams]) -> List[KernelParams]:
-        """Drop candidates the static verifier proves would fail.
+    def _gate_batch(
+        self, batch: List[KernelParams]
+    ) -> Tuple[List[KernelParams], List[Tuple[KernelParams, str]]]:
+        """Split off the candidates the static verifier proves would fail.
 
-        Rejected candidates still count as ``generated`` (the stream
-        position is what checkpoints record), but are tallied under
-        their violated rule instead of consuming an evaluation.
+        Returns the admitted candidates and the rejected ones with their
+        violated rules.  Rejected candidates still count as ``generated``
+        (the stream position is what checkpoints record), but are
+        tallied under their rule instead of consuming an evaluation.
         """
         if self._verifier is None:
-            return batch
+            return batch, []
         admitted: List[KernelParams] = []
+        rejected: List[Tuple[KernelParams, str]] = []
         for params in batch:
             rule = self._verifier.gate(params)
             if rule is None:
@@ -640,7 +627,32 @@ class SearchEngine:
             else:
                 self.stats.generated += 1
                 self.stats.count_static_reject(rule)
-        return admitted
+                rejected.append((params, rule))
+        return admitted, rejected
+
+    def _score(
+        self,
+        batch: List[KernelParams],
+        keep: Callable[[MeasuredKernel], None],
+    ) -> Tuple[List[Tuple[KernelParams, str]], List[EvalOutcome]]:
+        """Gate, evaluate and tally a batch at base shapes: the one scoring
+        loop of stage 1 and refinement.
+
+        ``keep`` gets each measured candidate the quarantine allows, right
+        after its tally.  Returns the static rejects with their rules and
+        every outcome, in batch order.
+        """
+        admitted, rejected = self._gate_batch(batch)
+        tasks = [EvalTask(p, self.base_shape(p)) for p in admitted]
+        outcomes = self._evaluate_batch(tasks)
+        for oc in outcomes:
+            self.stats.generated += 1
+            self._tally(oc)
+            if oc.ok:
+                self.stats.measured += 1
+                if self._allowed(oc.params):
+                    keep(MeasuredKernel(oc.params, max(oc.shape), oc.gflops))
+        return rejected, outcomes
 
     # -- checkpointing ---------------------------------------------------
     def _fingerprint(self) -> str:
@@ -791,43 +803,25 @@ class SearchEngine:
             )
             self._write_checkpoint("stage1", stage1_extra)
 
+        def keep(mk: MeasuredKernel) -> None:
+            scored.append(mk)
+            if progress is not None:
+                progress(self.stats.measured, mk)
+
         since_checkpoint = 0
         while True:
             batch = strategy.ask(_CHUNK)
             if not batch:
                 break
-            observations: Dict[Tuple, Observation] = {}
-            admitted: List[KernelParams] = []
-            for params in batch:
-                rule = self._verifier.gate(params) if self._verifier else None
-                if rule is None:
-                    admitted.append(params)
-                else:
-                    self.stats.generated += 1
-                    self.stats.count_static_reject(rule)
-                    observations[params.cache_key()] = Observation(
-                        params, failure=f"static:{rule}"
-                    )
-            tasks = [EvalTask(p, self.base_shape(p)) for p in admitted]
-            for outcome in self._evaluate_batch(tasks):
-                self.stats.generated += 1
-                self._tally_resilience(outcome)
-                if not outcome.ok:
-                    self._tally_failure(outcome)
-                    observations[outcome.params.cache_key()] = Observation(
-                        outcome.params, failure=outcome.failure
-                    )
-                    continue
-                self.stats.measured += 1
-                observations[outcome.params.cache_key()] = Observation(
-                    outcome.params, gflops=outcome.gflops
-                )
-                if not self._allowed(outcome.params):
-                    continue
-                mk = MeasuredKernel(outcome.params, max(outcome.shape), outcome.gflops)
-                scored.append(mk)
-                if progress is not None:
-                    progress(self.stats.measured, mk)
+            rejected, outcomes = self._score(batch, keep)
+            observations: Dict[Tuple, Observation] = {
+                p.cache_key(): Observation(p, failure=f"static:{rule}")
+                for p, rule in rejected
+            }
+            observations.update(
+                (oc.params.cache_key(), Observation(oc.params, oc.gflops, oc.failure))
+                for oc in outcomes
+            )
             strategy.tell([observations[p.cache_key()] for p in batch])
             consumed += len(batch)
             since_checkpoint += len(batch)
@@ -875,27 +869,11 @@ class SearchEngine:
                     )
                     if c.cache_key() not in refined
                 ]
-                tasks = [
-                    EvalTask(c, self.base_shape(c))
-                    for c in self._gate_batch(candidates)
-                ]
-                improved: Optional[MeasuredKernel] = None
-                for outcome in self._evaluate_batch(tasks):
-                    self.stats.generated += 1
-                    self._tally_resilience(outcome)
-                    if not outcome.ok:
-                        self._tally_failure(outcome)
-                        continue
-                    self.stats.measured += 1
-                    if not self._allowed(outcome.params):
-                        continue
-                    self.stats.refined += 1
-                    mk = MeasuredKernel(
-                        outcome.params, max(outcome.shape), outcome.gflops
-                    )
-                    refined[outcome.params.cache_key()] = mk
-                    if improved is None or mk.gflops > improved.gflops:
-                        improved = mk
+                kept: List[MeasuredKernel] = []
+                self._score(candidates, kept.append)
+                self.stats.refined += len(kept)
+                refined.update((mk.params.cache_key(), mk) for mk in kept)
+                improved = max(kept, key=lambda mk: mk.gflops, default=None)
                 if improved is None or improved.gflops <= current.gflops:
                     break
                 current = improved
@@ -933,7 +911,7 @@ class SearchEngine:
             tasks = [EvalTask(mk.params, s) for s in self._finalist_sweep(mk.params)]
             series = []
             for oc in self._evaluate_batch(tasks):
-                self._tally_resilience(oc)
+                self._tally(oc, counted=False)
                 if oc.ok:
                     series.append(MeasuredKernel(oc.params, max(oc.shape), oc.gflops))
             recorded.append(series)
@@ -1022,23 +1000,11 @@ class SearchEngine:
         chosen: Optional[Tuple[MeasuredKernel, List[MeasuredKernel]]] = None
         with self.obs.span("tune.verify") as sv:
             for rank, (best_point, series) in enumerate(swept):
-                if rank < self.config.verify_finalists:
-                    try:
-                        self._verify_resilient(best_point.params, rng)
-                    except ValidationError:
-                        self.stats.failed_validation += 1
-                        continue
-                    except (TransientError, MeasurementTimeout):
-                        # The finalist flaked through the whole retry budget
-                        # during verification: demote it and fall through to
-                        # the next-ranked finalist.
-                        self.stats.failed_transient += 1
-                        if self.quarantine.demote(
-                            params_digest(best_point.params),
-                            "exhausted retries during finalist verification",
-                        ):
-                            self.stats.quarantined += 1
-                        continue
+                # A finalist that fails, or flakes through the whole retry
+                # budget, falls through to the next-ranked one.
+                if (rank < self.config.verify_finalists
+                        and not self._verify_finalist(best_point.params, rng)):
+                    continue
                 chosen = (best_point, series)
                 sv.set(chosen_rank=rank)
                 break

@@ -8,7 +8,7 @@ and parallel searches select the *identical winner* as a fault-free run.
 
 import pytest
 
-from repro.clsim.faults import FaultInjector, FaultPlan
+from repro.clsim.faults import FaultInjector, FaultPlan, FaultRule
 from repro.tuner.cache import MeasurementCache
 from repro.tuner.resilience import ResilienceConfig
 from repro.tuner.search import SearchEngine, TuningConfig
@@ -63,6 +63,12 @@ class TestWinnerIdentity:
         ).run()
         assert resilient.best.params == plain.best.params
         assert resilient.best.gflops == plain.best.gflops
+        # Every score, not only the winner's: median-of-k over equal
+        # clean samples is the sample itself.
+        assert [(mk.params, mk.size, mk.gflops) for mk in resilient.finalists] \
+            == [(mk.params, mk.size, mk.gflops) for mk in plain.finalists]
+        assert [(mk.size, mk.gflops) for mk in resilient.best_series] \
+            == [(mk.size, mk.gflops) for mk in plain.best_series]
         assert resilient.stats.retries == 0
         assert resilient.stats.faults_by_class == {}
 
@@ -146,12 +152,43 @@ class TestVerifyUnderFaults:
         injector; transient faults there are retried, not fatal."""
         inj = FaultInjector(FaultPlan.parse("build:0.5", seed=2))
         clean = _engine(tahiti).run()
-        faulted = SearchEngine(
+        engine = SearchEngine(
             tahiti, "d", QUICK,
             injector=inj,
             resilience=ResilienceConfig(max_retries=12, backoff_s=0.0),
-        ).run()
+        )
+        faulted = engine.run()
         assert faulted.best.params == clean.best.params
+        # Pinned: verification folds its retries and faults into the
+        # same tally as every measurement.
+        assert engine.stats.comparable_dict() == {
+            "generated": 301, "measured": 300, "failed_generation": 0,
+            "failed_build": 0, "failed_launch": 0, "failed_validation": 0,
+            "failed_transient": 0, "refined": 100, "static_rejects": 1,
+            "static_rejects_by_rule": {"device.workgroup-size": 1},
+            "retries": 338, "timeouts": 0, "quarantined": 0,
+            "faults_by_class": {"build": 338}, "cache_hits": 0,
+            "cache_misses": 0, "resumed": 0, "checkpoints": 0,
+            "strategy": "exhaustive", "strategy_proposals": 200,
+            "strategy_refits": 0, "strategy_transfer_seeds": 0,
+            "strategy_early_stop": "", "strategy_importance": {},
+        }
+
+    def test_persistent_verify_build_fault_skips_the_finalist(self, tahiti):
+        """A finalist whose verification build fails for good is a failed
+        candidate, like one failing in stage 1: the search counts it and
+        verifies the next-ranked finalist instead of raising."""
+        inj = FaultInjector(FaultPlan(seed=1, rules=(
+            FaultRule(kind="build", rate=0.5, transient=False),
+        )))
+        config = TuningConfig(budget=200, verify_finalists=3, top_k=8)
+        engine = SearchEngine(
+            tahiti, "d", config,
+            injector=inj, resilience=ResilienceConfig(backoff_s=0.0),
+        )
+        result = engine.run()
+        assert engine.stats.failed_validation == 0
+        assert result.best.params != result.finalists[0].params
 
     def test_result_corruption_fails_validation(self, tahiti):
         """Silent NaN corruption is invisible to timing but caught by the

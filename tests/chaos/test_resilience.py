@@ -1,12 +1,13 @@
 """Retry, watchdog, robust aggregation, and quarantine policies."""
 
+import functools
 import time
 
 import pytest
 
 from repro.clsim.faults import FaultInjector, FaultPlan, FaultRule
 from repro.errors import MeasurementTimeout, TransientError
-from repro.tuner.parallel import EvalTask, evaluate_candidate_resilient
+from repro.tuner.parallel import EvalTask, evaluate_candidate
 from repro.tuner.resilience import (
     Quarantine,
     ResilienceConfig,
@@ -73,9 +74,11 @@ class TestWatchdog:
 
 class TestRobustAggregate:
     def test_identical_samples_return_exact_value(self):
-        rate, outliers = robust_aggregate([123.456] * 3)
-        assert rate == 123.456
-        assert outliers == 0
+        # A plain mean is not exact here: sum([0.1] * 3) / 3 != 0.1.
+        for value in (123.456, 0.1):
+            rate, outliers = robust_aggregate([value] * 3)
+            assert rate == value
+            assert outliers == 0
 
     def test_single_spike_is_rejected(self):
         # A timing spike multiplies time by 8x -> divides the rate by 8.
@@ -112,31 +115,38 @@ def _plan(**rule_overrides) -> FaultInjector:
     return FaultInjector(FaultPlan(seed=1, rules=(FaultRule(**defaults),)))
 
 
+@functools.lru_cache(maxsize=None)
+def _sampled_candidates():
+    """Every 12th of 600 enumerated tahiti/s candidates: 50 kernels."""
+    from repro.codegen.space import enumerate_space
+    from repro.devices.catalog import get_device_spec
+
+    space = enumerate_space(get_device_spec("tahiti"), "s", limit=600, seed=3)
+    return list(space)[::12]
+
+
 class TestResilientEvaluation:
-    """evaluate_candidate_resilient owns one candidate's failure story."""
+    """evaluate_candidate owns one candidate's failure story."""
 
     def _task(self, tahiti):
         p = make_params()
         return EvalTask(p, (64, 64, 64))
 
-    def test_clean_run_matches_plain_measurement(self, tahiti):
-        from repro.tuner.parallel import evaluate_candidate
-
-        task = self._task(tahiti)
+    @pytest.mark.parametrize("index", range(50))
+    def test_clean_run_matches_plain_measurement(self, tahiti, index):
+        task = EvalTask(_sampled_candidates()[index], (1024, 1024, 1024))
         plain = evaluate_candidate(tahiti, task)
-        resilient = evaluate_candidate_resilient(
-            tahiti, task, True, None, FAST
-        )
+        resilient = evaluate_candidate(tahiti, task, True, None, FAST)
         assert resilient.gflops == plain.gflops
         assert resilient.retries == 0 and resilient.faults == ()
 
     def test_transient_faults_retry_to_the_clean_value(self, tahiti):
         task = self._task(tahiti)
-        clean = evaluate_candidate_resilient(tahiti, task, True, None, FAST)
+        clean = evaluate_candidate(tahiti, task, True, None, FAST)
         # 60% transient build faults: some attempts flake, retry recovers,
         # and the final rate equals the fault-free one exactly.
         inj = _plan(rate=0.6)
-        out = evaluate_candidate_resilient(
+        out = evaluate_candidate(
             tahiti, task, True, inj,
             ResilienceConfig(max_retries=10, backoff_s=0.0),
         )
@@ -146,7 +156,7 @@ class TestResilientEvaluation:
             assert set(out.faults) == {"build"}
 
     def test_exhausted_transient_budget_is_flagged_injected(self, tahiti):
-        out = evaluate_candidate_resilient(
+        out = evaluate_candidate(
             tahiti, self._task(tahiti), True, _plan(rate=1.0), FAST
         )
         assert out.failure == "transient"
@@ -155,7 +165,7 @@ class TestResilientEvaluation:
         assert out.faults == ("build",) * (FAST.max_retries + 1)
 
     def test_persistent_build_fault_carries_log(self, tahiti):
-        out = evaluate_candidate_resilient(
+        out = evaluate_candidate(
             tahiti, self._task(tahiti), True,
             _plan(rate=1.0, transient=False), FAST,
         )
@@ -169,7 +179,7 @@ class TestResilientEvaluation:
             max_retries=1, backoff_s=0.0, measure_timeout_s=0.05
         )
         t0 = time.perf_counter()
-        out = evaluate_candidate_resilient(
+        out = evaluate_candidate(
             tahiti, self._task(tahiti), True, inj, config
         )
         assert out.failure == "timeout"
@@ -179,10 +189,10 @@ class TestResilientEvaluation:
 
     def test_timing_spikes_rejected_as_outliers(self, tahiti):
         task = self._task(tahiti)
-        clean = evaluate_candidate_resilient(tahiti, task, True, None, FAST)
+        clean = evaluate_candidate(tahiti, task, True, None, FAST)
         inj = _plan(kind="timing", rate=0.3, magnitude=8.0)
         config = ResilienceConfig(backoff_s=0.0, samples=5)
-        out = evaluate_candidate_resilient(tahiti, task, True, inj, config)
+        out = evaluate_candidate(tahiti, task, True, inj, config)
         assert out.ok
         # Spiked samples were discarded, not averaged in: as long as a
         # majority of the 5 samples is clean the rate is exact.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.clsim.faults import FaultInjector, FaultPlan, FaultRule
-from repro.errors import AdmissionError, InvalidRequestError
+from repro.errors import AdmissionError, InvalidBatchError, InvalidRequestError
 from repro.gemm.reference import reference_gemm, relative_error
 from repro.serve import (
     BreakerState, GemmCall, GemmService, IncidentLog, ServiceConfig,
@@ -146,6 +146,18 @@ class TestAdmission:
         # Draining the backlog (a quiet period) re-admits traffic.
         result = service.submit(a, b, arrival_dt_s=10.0)
         assert result.rung == "tuned"
+
+    def test_refused_batches_do_not_advance_the_tick(self, problem):
+        # The tick drives breaker cool-downs and the canary schedule; a
+        # batch refused before serving must leave it where it was.
+        service = GemmService("tahiti", "d")
+        a, b = problem
+        with pytest.raises(InvalidBatchError, match="empty batch"):
+            service.submit_batch([])
+        for ids in ([7], [7, 8, 9]):
+            with pytest.raises(InvalidBatchError, match="request ids"):
+                service.submit_batch([GemmCall(a, b)] * 2, request_ids=ids)
+        assert service._tick == 0
 
 
 class TestBreakers:
