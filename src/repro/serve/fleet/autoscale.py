@@ -1,15 +1,15 @@
 """The autoscaler: hysteresis, sustain, cooldown — provably no flap.
 
-:class:`Autoscaler` is a pure decision function over the scheduler's
-load signals (total queue depth and p99 latency); it owns no devices —
+:class:`Autoscaler` is a pure decision function over one load signal,
+the scheduler's total queue depth; it owns no devices —
 the :class:`~repro.serve.fleet.manager.FleetManager` executes whatever
 it decides.  Three mechanisms make flapping *structurally* impossible
 rather than merely unlikely:
 
-1. **Hysteresis bands** — grow triggers above the high watermark
-   (``grow_queue_depth``, optionally ``grow_p99_s``), shrink only
-   below the separate low watermarks (``shrink_queue_depth``,
-   ``shrink_p99_s``).  The dead band between them decides nothing.
+1. **Hysteresis bands** — grow triggers above the high queue-depth
+   watermark (``grow_queue_depth``), shrink only below the separate low
+   one (``shrink_queue_depth``).  The dead band between them decides
+   nothing.
 2. **Sustain** — a breach must hold for ``sustain_evals`` *consecutive*
    evaluations before it acts; a single bursty sample resets to zero
    progress toward the opposite direction.
@@ -21,7 +21,7 @@ rather than merely unlikely:
 
 Scale steps are bounded by ``max_step`` devices per event and the fleet
 by ``[min_devices, max_devices]``.  Everything is pure arithmetic over
-the sampled signals — no wall clock, no RNG — so a seeded soak decides
+the sampled depths — no wall clock, no RNG — so a seeded soak decides
 identically run after run.
 """
 
@@ -39,17 +39,14 @@ class AutoscaleConfig:
 
     min_devices: int = 1
     max_devices: int = 6
-    #: Evaluation cadence: signals are sampled at most this often.
+    #: Evaluation cadence: queue depth is sampled at most this often.
     eval_interval_s: float = 0.005
     #: High watermark: total queued requests above this (sustained)
     #: grows the fleet.
     grow_queue_depth: float = 24.0
-    #: Low watermark: total queued requests below this (sustained, with
-    #: latency also calm) shrinks it.  Must sit below the high one.
+    #: Low watermark: total queued requests below this (sustained)
+    #: shrinks it.  Must sit below the high one.
     shrink_queue_depth: float = 4.0
-    #: Optional p99 latency watermarks (None disables that signal).
-    grow_p99_s: Optional[float] = None
-    shrink_p99_s: Optional[float] = None
     #: Consecutive breached evaluations required before acting.
     sustain_evals: int = 2
     #: After any event, no decision of either kind for this long.
@@ -64,9 +61,6 @@ class AutoscaleConfig:
             raise ValueError(
                 "hysteresis requires shrink_queue_depth < grow_queue_depth"
             )
-        if (self.grow_p99_s is not None and self.shrink_p99_s is not None
-                and self.shrink_p99_s >= self.grow_p99_s):
-            raise ValueError("hysteresis requires shrink_p99_s < grow_p99_s")
         if self.sustain_evals < 1:
             raise ValueError("sustain_evals must be >= 1")
         if self.cooldown_s < 0 or self.eval_interval_s <= 0:
@@ -98,7 +92,7 @@ class ScaleEvent:
 
 
 class Autoscaler:
-    """The decision core: signals in, ``"grow"``/``"shrink"``/None out."""
+    """The decision core: queue depth in, ``"grow"``/``"shrink"``/None out."""
 
     def __init__(self, config: Optional[AutoscaleConfig] = None) -> None:
         self.config = config or AutoscaleConfig()
@@ -115,7 +109,6 @@ class Autoscaler:
         self,
         now_s: float,
         queue_depth: float,
-        p99_s: Optional[float],
         fleet_size: int,
     ) -> Optional[str]:
         """One evaluation; returns the direction to act on, if any.
@@ -127,14 +120,8 @@ class Autoscaler:
         """
         cfg = self.config
         self.evaluations += 1
-        high = queue_depth > cfg.grow_queue_depth or (
-            cfg.grow_p99_s is not None and p99_s is not None
-            and p99_s > cfg.grow_p99_s
-        )
-        low = queue_depth < cfg.shrink_queue_depth and (
-            cfg.shrink_p99_s is None or p99_s is None
-            or p99_s < cfg.shrink_p99_s
-        )
+        high = queue_depth > cfg.grow_queue_depth
+        low = queue_depth < cfg.shrink_queue_depth
         self._high_streak = self._high_streak + 1 if high else 0
         self._low_streak = self._low_streak + 1 if low else 0
         # Cooldown suppresses BOTH directions: no grow+shrink pair can

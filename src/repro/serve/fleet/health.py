@@ -40,6 +40,9 @@ from repro.serve.breaker import BreakerState
 
 __all__ = ["HealthConfig", "DeviceHealth"]
 
+#: Phi contribution of an open / half-open circuit breaker.
+_BREAKER_PHI = {BreakerState.OPEN: 4.0, BreakerState.HALF_OPEN: 1.0}
+
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -64,9 +67,6 @@ class HealthConfig:
     #: Failure load saturates here, bounding post-outage recovery to a
     #: fixed number of clean probes regardless of outage length.
     max_load: float = 8.0
-    #: Phi contribution of an open / half-open circuit breaker.
-    breaker_open_phi: float = 4.0
-    breaker_half_open_phi: float = 1.0
     #: Score below this suspects a serving device ...
     suspect_threshold: float = 0.25
     #: ... and only a score back above this (plus clean probes) recovers
@@ -144,14 +144,9 @@ class DeviceHealth:
     def phi(self, now_s: float,
             breaker_state: Optional[BreakerState] = None) -> float:
         """Current suspicion level (0 = perfectly healthy)."""
-        cfg = self.config
-        value = self._load
-        value += max(0.0, self._ratio - cfg.latency_slack)
-        if breaker_state is BreakerState.OPEN:
-            value += cfg.breaker_open_phi
-        elif breaker_state is BreakerState.HALF_OPEN:
-            value += cfg.breaker_half_open_phi
-        return value
+        return (self._load
+                + max(0.0, self._ratio - self.config.latency_slack)
+                + _BREAKER_PHI.get(breaker_state, 0.0))
 
     def score(self, now_s: float,
               breaker_state: Optional[BreakerState] = None) -> float:

@@ -13,7 +13,7 @@ A fleet member is always in exactly one state::
 * ``provisioning`` — chosen by the autoscaler, not yet buildable;
 * ``warming`` — rungs built and statically verified, parked off the
   ladder; the device takes only known-answer canary traffic until it
-  passes ``warm_passes`` consecutive checks;
+  passes two consecutive checks;
 * ``serving`` — on the ladder, taking real traffic;
 * ``suspected`` — the failure detector's score dropped below threshold;
   parked off the ladder, probed each evaluation, restored only after

@@ -8,14 +8,14 @@
 
 * ``observe(ticket, request)`` — chained onto the scheduler's
   completion hook — feeds each served request's latency into the
-  serving device's health model and the p99 window;
+  serving device's health model;
 * ``tick(now_s)`` — called after every scheduler step — scans the
   incident log (cursor-based, so each record is read once) for failure
   evidence, probes warming and suspected devices with known-answer
   canaries, executes lifecycle transitions through the service's
   membership API (admit / suspend / resume / retire), reconciles the
   shard fleet (:meth:`AsyncScheduler.sync_fleet`), and evaluates the
-  autoscaler at its cadence.
+  autoscaler on the scheduler's total queue depth at its cadence.
 
 Membership changes route traffic by *ladder surgery*: a suspected or
 warming device's rungs are parked off the degradation ladder — so no
@@ -27,26 +27,19 @@ re-enter the candidate pool (``retired -> provisioning``) carrying
 their breaker history.
 
 Everything is deterministic under a fixed seed: probes are salted with
-the evaluation counter, signals are pure functions of the simulated
-clock, and the scale-event/transition logs are bit-identical run to
-run — the churn-soak acceptance test diffs them.
+the evaluation counter, queue depth is read from the scheduler's own
+queues (telemetry on or off), and the scale-event/transition logs are
+bit-identical run to run — the churn-soak acceptance test diffs them.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.errors import CLError, MeasurementTimeout
-from repro.gemm.reference import relative_error
 from repro.serve.fleet.autoscale import Autoscaler, AutoscaleConfig, ScaleEvent
-from repro.serve.fleet.health import DeviceHealth, HealthConfig
+from repro.serve.fleet.health import DeviceHealth
 from repro.serve.fleet.lifecycle import DeviceLifecycle, DeviceState
-from repro.tuner.resilience import call_with_timeout
 
 __all__ = ["FleetConfig", "FleetManager"]
 
@@ -58,23 +51,18 @@ _FAILURE_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("degraded", 1.0),  # only when the detail carries an exception name
 )
 
+#: Consecutive known-answer passes a warming device needs to serve.
+_WARM_PASSES = 2
+#: Consecutive clean probes a suspected device needs to recover (its
+#: health score must also clear ``recover_threshold``).
+_RECOVER_PASSES = 2
+
 
 @dataclass(frozen=True)
 class FleetConfig:
     """Fleet-manager policy knobs."""
 
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
-    health: HealthConfig = field(default_factory=HealthConfig)
-    #: Consecutive known-answer passes a warming device needs to serve.
-    warm_passes: int = 2
-    #: Consecutive clean probes a suspected device needs to recover
-    #: (its health score must also clear ``health.recover_threshold``).
-    recover_passes: int = 2
-    #: Grow-candidate codenames in preference order (None: every
-    #: catalog device with pretuned parameters at the precision).
-    candidates: Optional[Tuple[str, ...]] = None
-    #: Completed-request latencies kept for the fallback p99 signal.
-    latency_window: int = 256
 
 
 class FleetManager:
@@ -99,22 +87,15 @@ class FleetManager:
         #: (shrink ties retire the newest member first).
         self._admit_seq: Dict[str, int] = {}
         self._admit_counter = 0
-        self._latencies: Deque[float] = deque(maxlen=self.config.latency_window)
-        #: Cumulative sched_latency_seconds counts at the last eval
-        #: (for the registry-delta p99 when obs is enabled).
-        self._hist_snapshot: Optional[List[int]] = None
         for device in self.service.serving_devices:
             self.lifecycles[device] = DeviceLifecycle(
                 device, DeviceState.SERVING, 0.0, "initial fleet"
             )
-            self.healths[device] = DeviceHealth(device, self.config.health)
+            self.healths[device] = DeviceHealth(device)
             self._admit_counter += 1
             self._admit_seq[device] = self._admit_counter
-        self._candidates = (
-            list(self.config.candidates)
-            if self.config.candidates is not None
-            else self._default_candidates()
-        )
+        #: Grow candidates: catalog devices servable at this precision.
+        self._candidates = self._default_candidates()
         if self.obs.enabled:
             self._state_gauge = self.obs.gauge(
                 "fleet_devices",
@@ -169,13 +150,12 @@ class FleetManager:
         """
         return len(self.devices_in(DeviceState.SERVING, DeviceState.WARMING))
 
-    # -- signal plumbing -------------------------------------------------
+    # -- evidence plumbing -----------------------------------------------
     def observe(self, ticket, request) -> None:
-        """Completion hook: fold one finished request into the signals."""
+        """Completion hook: fold one served request into its device's
+        health."""
         if ticket.status != "served" or ticket.result is None:
             return
-        if ticket.latency_s is not None:
-            self._latencies.append(ticket.latency_s)
         device = ticket.result.device
         health = self.healths.get(device)
         if (health is not None
@@ -207,66 +187,6 @@ class FleetManager:
                 health.observe_failure(now_s, weight)
         self._incident_cursor = len(incidents)
 
-    def _signals(self) -> Tuple[float, Optional[float]]:
-        """(total queue depth, p99 latency) from the scheduler's series.
-
-        With observability enabled these come from the exported
-        ``sched_queue_depth`` gauges and the ``sched_latency_seconds``
-        histogram (count deltas between evaluations); without it, from
-        the queues and a sliding window of completed latencies — the
-        same numbers, one source of truth less.
-        """
-        if self.obs.enabled:
-            try:
-                return self._registry_signals()
-            except (KeyError, AttributeError):
-                pass
-        depth = float(sum(
-            len(state.queue) for state in self.scheduler.queues
-        ))
-        return depth, self._window_p99()
-
-    def _registry_signals(self) -> Tuple[float, Optional[float]]:
-        registry = self.obs.metrics
-        depth_gauge = registry.get("sched_queue_depth")
-        depth = float(sum(
-            child.value for _, child in depth_gauge.series_items()
-        ))
-        hist = registry.get("sched_latency_seconds")
-        buckets: Optional[List[float]] = None
-        totals: Optional[List[int]] = None
-        for _, child in hist.series_items():
-            if buckets is None:
-                buckets = list(child.buckets)
-                totals = [0] * len(child.counts)
-            for i, count in enumerate(child.counts):
-                totals[i] += count
-        if totals is None:
-            return depth, self._window_p99()
-        previous = self._hist_snapshot or [0] * len(totals)
-        if len(previous) != len(totals):
-            previous = [0] * len(totals)
-        delta = [t - p for t, p in zip(totals, previous)]
-        self._hist_snapshot = totals
-        observed = sum(delta)
-        if observed <= 0:
-            return depth, None  # nothing completed since the last eval
-        rank = math.ceil(0.99 * observed)
-        cumulative = 0
-        for i, count in enumerate(delta):
-            cumulative += count
-            if cumulative >= rank:
-                bound = buckets[i] if i < len(buckets) else buckets[-1]
-                return depth, float(bound)
-        return depth, float(buckets[-1])
-
-    def _window_p99(self) -> Optional[float]:
-        if not self._latencies:
-            return None
-        ordered = sorted(self._latencies)
-        index = min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)
-        return ordered[max(index, 0)]
-
     # -- the periodic tick ----------------------------------------------
     def tick(self, now_s: float) -> None:
         """One control-plane pass; the soak calls this after each step."""
@@ -279,14 +199,14 @@ class FleetManager:
         self._evals += 1
         self._check_serving(now_s)
         self._probe_parked(now_s)
-        depth, p99 = self._signals()
-        direction = self.autoscaler.evaluate(
-            now_s, depth, p99, self.fleet_size
-        )
+        depth = float(sum(
+            len(state.queue) for state in self.scheduler.queues
+        ))
+        direction = self.autoscaler.evaluate(now_s, depth, self.fleet_size)
         if direction == "grow":
-            self._grow(now_s, depth, p99)
+            self._grow(now_s, depth)
         elif direction == "shrink":
-            self._shrink(now_s, depth, p99)
+            self._shrink(now_s, depth)
         self._refresh_gauges(now_s)
 
     # -- failure detection ----------------------------------------------
@@ -298,12 +218,12 @@ class FleetManager:
             score = health.score(
                 now_s, breaker.state if breaker is not None else None
             )
-            if score >= self.config.health.suspect_threshold:
+            if score >= health.config.suspect_threshold:
                 continue
             self.lifecycles[device].transition(
                 DeviceState.SUSPECTED, now_s,
                 f"health score {score:.3f} < "
-                f"{self.config.health.suspect_threshold}",
+                f"{health.config.suspect_threshold}",
             )
             self._probe_passes[device] = 0
             self.service.suspend_device(
@@ -327,14 +247,15 @@ class FleetManager:
         latency EWMA, which is also how a recovered device's ratio
         drifts back down once the brownout window passes.
         """
-        cfg = self.config
-        slack = cfg.health.latency_slack
         for device in self.devices_in(DeviceState.WARMING,
                                       DeviceState.SUSPECTED):
             lifecycle = self.lifecycles[device]
             health = self.healths[device]
-            correct, ratio = self._probe(device)
-            clean = correct and ratio is not None and ratio < slack
+            correct, ratio = self.service.probe_parked(
+                device, f"fleet:probe:{device}:{self._evals}"
+            )
+            clean = (correct and ratio is not None
+                     and ratio < health.config.latency_slack)
             health.observe_probe(now_s, ratio, clean)
             if not correct:
                 self._probe_passes[device] = 0
@@ -345,22 +266,22 @@ class FleetManager:
                 continue
             self._probe_passes[device] = self._probe_passes.get(device, 0) + 1
             if lifecycle.state is DeviceState.WARMING:
-                if self._probe_passes[device] >= cfg.warm_passes:
+                if self._probe_passes[device] >= _WARM_PASSES:
                     lifecycle.transition(
                         DeviceState.SERVING, now_s,
-                        f"{cfg.warm_passes} known-answer passes",
+                        f"{_WARM_PASSES} known-answer passes",
                     )
                     self.service.resume_device(device)
                     self._admit_counter += 1
                     self._admit_seq[device] = self._admit_counter
                     self.scheduler.sync_fleet()
             else:  # SUSPECTED
-                score = self.healths[device].score(now_s)
-                if (self._probe_passes[device] >= cfg.recover_passes
-                        and score >= cfg.health.recover_threshold):
+                score = health.score(now_s)
+                if (self._probe_passes[device] >= _RECOVER_PASSES
+                        and score >= health.config.recover_threshold):
                     lifecycle.transition(
                         DeviceState.SERVING, now_s,
-                        f"{cfg.recover_passes} clean probes, "
+                        f"{_RECOVER_PASSES} clean probes, "
                         f"score {score:.3f}",
                     )
                     self.service.resume_device(device)
@@ -370,39 +291,8 @@ class FleetManager:
                     )
                     self.scheduler.sync_fleet()
 
-    def _probe(self, device: str) -> Tuple[bool, Optional[float]]:
-        """One known-answer canary against a parked device's best rung.
-
-        Returns ``(correct, latency_ratio)`` where the ratio is the
-        probe's simulated seconds over the rung's noise-free prediction
-        (None when the probe faulted before timing anything).
-        """
-        rungs = self.service._parked.get(device)
-        if not rungs:
-            return False, None
-        a, b, expected = self.service._canary_problem()
-        n = self.service.config.canary_size
-        injector = self.service._salted_injector(
-            f"fleet:probe:{device}:{self._evals}"
-        )
-        tol = 1e-4 if self.service.precision == "s" else 1e-10
-        try:
-            (out, seconds) = call_with_timeout(
-                lambda: rungs[0].call(a, b, None, 1.0, 0.0, "N", "N",
-                                      injector=injector),
-                self.service.config.attempt_timeout_s,
-            )
-        except (CLError, MeasurementTimeout):
-            return False, None
-        predicted = rungs[0].predict_s(n, n, n)
-        ratio = seconds / predicted if predicted > 0 else None
-        correct = bool(np.all(np.isfinite(out))) and (
-            relative_error(out, expected) < tol
-        )
-        return correct, ratio
-
     # -- scaling ---------------------------------------------------------
-    def _grow(self, now_s: float, depth: float, p99: Optional[float]) -> None:
+    def _grow(self, now_s: float, depth: float) -> None:
         before = self.fleet_size
         limit = self.autoscaler.step_limit("grow", before)
         added: List[str] = []
@@ -428,26 +318,20 @@ class FleetManager:
                         "autoscaler grow",
                     )
                     self.lifecycles[device] = lifecycle
-                    self.healths[device] = DeviceHealth(
-                        device, self.config.health
-                    )
                 else:
                     lifecycle.transition(
                         DeviceState.PROVISIONING, now_s, "recommissioned"
                     )
-                    self.healths[device] = DeviceHealth(
-                        device, self.config.health
-                    )
+                self.healths[device] = DeviceHealth(device)
                 lifecycle.transition(
                     DeviceState.WARMING, now_s, "rungs built and verified"
                 )
                 self._probe_passes[device] = 0
                 added.append(device)
         if added:
-            self._record_event("grow", now_s, added, before, depth, p99)
+            self._record_event("grow", now_s, added, before, depth)
 
-    def _shrink(self, now_s: float, depth: float,
-                p99: Optional[float]) -> None:
+    def _shrink(self, now_s: float, depth: float) -> None:
         before = self.fleet_size
         limit = self.autoscaler.step_limit("shrink", before)
         serving = self.devices_in(DeviceState.SERVING)
@@ -487,7 +371,7 @@ class FleetManager:
                 removed.append(device)
             self.scheduler.sync_fleet()
         if removed:
-            self._record_event("shrink", now_s, removed, before, depth, p99)
+            self._record_event("shrink", now_s, removed, before, depth)
 
     def _next_candidate(self) -> Optional[str]:
         """The first candidate not currently occupying the fleet.
@@ -510,13 +394,11 @@ class FleetManager:
 
     def _record_event(self, direction: str, now_s: float,
                       devices: List[str], before: int,
-                      depth: float, p99: Optional[float]) -> None:
+                      depth: float) -> None:
         event = ScaleEvent(
             t_s=now_s, direction=direction, devices=tuple(devices),
             fleet_before=before, fleet_after=self.fleet_size,
-            reason=(f"depth {depth:g}"
-                    + (f", p99 {p99 * 1e3:.3f} ms" if p99 is not None
-                       else "")),
+            reason=f"depth {depth:g}",
         )
         self.scale_events.append(event)
         self.service.log.record(

@@ -84,6 +84,11 @@ _DRAIN_SERVICE_BACKLOG_S = 1e9
 _RUNG_RANK = {"tuned": 0, "pretuned": 1, "sharded": 1, "direct": 2,
               "reference": 3}
 
+#: NN problems with any dim at or above this shard across the fleet
+#: (when the service has two or more devices).  Coalescing candidates
+#: are the small GEMMs of the service's ledger (``SMALL_GEMM_DIM``).
+_SHARD_DIM = 256
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -91,12 +96,6 @@ class SchedulerConfig:
 
     #: Coalesce same-shape small requests up to this many members.
     max_batch: int = 16
-    #: Problems with every dim at or below this are coalescing
-    #: candidates (matches the service's small-GEMM ledger).
-    small_dim: int = SMALL_GEMM_DIM
-    #: NN problems with any dim at or above this shard across the
-    #: fleet (when the service has two or more devices).
-    shard_dim: int = 256
     #: Master switches (all on by default).
     coalesce: bool = True
     shard: bool = True
@@ -195,23 +194,27 @@ class AsyncScheduler:
             self._dispatch_counter = None
 
     # -- construction helpers -------------------------------------------
+    def _tuned_devices(self) -> Dict[str, object]:
+        """Device -> parameters of each ``tuned`` rung on the serving
+        ladder, in ladder order: the devices the shard fleet spans."""
+        tuned: Dict[str, object] = {}
+        for rung in self.service.ladder.rungs:
+            if rung.name == "tuned":
+                tuned.setdefault(rung.device, rung.params)
+        return tuned
+
     def _build_fleet(self):
         """A :class:`MultiDeviceGemm` over the service's devices, when
         there are at least two to shard across (else ``None``)."""
         if not self.config.shard:
             return None
-        devices: List[str] = []
-        params = {}
-        for rung in self.service.ladder.rungs:
-            if rung.name == "tuned" and rung.device not in devices:
-                devices.append(rung.device)
-                params[rung.device] = rung.params
-        if len(devices) < 2:
+        tuned = self._tuned_devices()
+        if len(tuned) < 2:
             return None
         from repro.gemm.multidev import MultiDeviceGemm
 
         return MultiDeviceGemm(
-            devices, self.service.precision, params,
+            list(tuned), self.service.precision, tuned,
             fault_injector=None, obs=self.obs,
             on_device_lost=self._on_device_lost,
             measurement_noise=False,
@@ -457,7 +460,7 @@ class AsyncScheduler:
         """Gather same-shape small peers from every tenant queue."""
         batch = [lead]
         cfg = self.config
-        if (not cfg.coalesce or max(lead.shape) > cfg.small_dim
+        if (not cfg.coalesce or max(lead.shape) > SMALL_GEMM_DIM
                 or cfg.max_batch <= 1):
             return batch
         order = [lead.tenant] + sorted(
@@ -488,7 +491,7 @@ class AsyncScheduler:
         return (self.fleet is not None
                 and len(self.fleet.specs) >= 2
                 and call.transa == "N" and call.transb == "N"
-                and max(request.shape) >= self.config.shard_dim)
+                and max(request.shape) >= _SHARD_DIM)
 
     def sync_fleet(self) -> None:
         """Reconcile the shard fleet with the service's serving ladder.
@@ -501,24 +504,16 @@ class AsyncScheduler:
         one that was never built (single-device start) is built the
         first time two tuned devices are serving.
         """
-        if not self.config.shard:
-            return
-        devices: List[str] = []
-        params = {}
-        for rung in self.service.ladder.rungs:
-            if rung.name == "tuned" and rung.device not in devices:
-                devices.append(rung.device)
-                params[rung.device] = rung.params
         if self.fleet is None:
-            if len(devices) >= 2:
-                self.fleet = self._build_fleet()
+            self.fleet = self._build_fleet()
             return
+        tuned = self._tuned_devices()
         members = {s.codename for s in self.fleet.specs}
-        for device in sorted(members - set(devices)):
+        for device in sorted(members - set(tuned)):
             self.fleet.retire_device(device)
-        for device in devices:
+        for device, params in tuned.items():
             if device not in members:
-                self.fleet.admit_device(device, params[device])
+                self.fleet.admit_device(device, params)
 
     def _risky_devices(self) -> Tuple[str, ...]:
         return tuple(
@@ -644,15 +639,9 @@ class AsyncScheduler:
                 )
                 self._dispatch_single(request)
                 return
-            tick = service._tick
             for device, start, stop in self._lost_events:
-                breaker = service.breakers.get(device)
-                if breaker is not None and breaker.record_failure(tick):
-                    service.counters.breaker_trips += 1
-                    service.log.record(
-                        rid, "breaker_trip", device=device, rung="sharded",
-                        detail="opened after: device lost mid-shard",
-                    )
+                service._breaker_failure(device, service._tick, rid,
+                                         "sharded", "device lost mid-shard")
                 service.log.record(
                     rid, "degraded", device=device, rung="sharded",
                     detail=f"device lost; columns {start}:{stop} re-partitioned",
@@ -757,5 +746,5 @@ class AsyncScheduler:
             )
         if self.fleet is not None:
             lines.append(f"  fleet: {len(self.fleet.specs)} devices "
-                         f"(shard at dim >= {self.config.shard_dim})")
+                         f"(shard at dim >= {_SHARD_DIM})")
         return "\n".join(lines)

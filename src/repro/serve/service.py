@@ -73,6 +73,10 @@ __all__ = [
 #: cannot amortise launch overhead and coalescing pays off.
 SMALL_GEMM_DIM = 128
 
+#: Known-answer canary problem size (kept small: canaries ride the
+#: request path).
+_CANARY_SIZE = 32
+
 
 @dataclass
 class BatchingAccount:
@@ -137,10 +141,6 @@ class ServiceConfig:
     # -- result verification ------------------------------------------
     #: Fraction of device-served responses Freivalds-checked (1.0 = all).
     verify_rate: float = 1.0
-    #: Independent Freivalds rounds per check.
-    verify_rounds: int = 2
-    #: Rounding-error allowance factor (see FreivaldsVerifier).
-    verify_tol_factor: float = 64.0
     # -- circuit breakers ---------------------------------------------
     breaker_failure_threshold: int = 3
     breaker_cooldown: int = 25
@@ -150,8 +150,6 @@ class ServiceConfig:
     canary_interval: int = 50
     #: Consecutive canary passes that re-admit a quarantined kernel.
     canary_passes: int = 2
-    #: Canary problem size (kept small: canaries ride the request path).
-    canary_size: int = 32
     # -- misc ----------------------------------------------------------
     #: Wall-clock watchdog per rung attempt (kills injected hangs).
     attempt_timeout_s: Optional[float] = None
@@ -273,11 +271,7 @@ class GemmService:
         for rung in self.ladder.rungs:
             if rung.device:
                 self._ensure_breaker(rung.device)
-        self.verifier = FreivaldsVerifier(
-            seed=self.config.seed,
-            rounds=self.config.verify_rounds,
-            tol_factor=self.config.verify_tol_factor,
-        )
+        self.verifier = FreivaldsVerifier(seed=self.config.seed)
         self.log = IncidentLog()
         self.counters = ServiceCounters()
         self._trace_id = ""
@@ -675,14 +669,8 @@ class GemmService:
                         rung, members, pending, rids, batched)
                 except (CLError, MeasurementTimeout) as exc:
                     rung_span.set(outcome="failed", error=type(exc).__name__)
-                    if breaker is not None and breaker.record_failure(tick):
-                        self.counters.breaker_trips += 1
-                        self.log.record(
-                            rids[pending[0]], "breaker_trip",
-                            device=rung.device, rung=rung.name,
-                            detail=f"opened after: {exc}",
-                            trace_id=self._trace_id,
-                        )
+                    self._breaker_failure(rung.device, tick, rids[pending[0]],
+                                          rung.name, str(exc))
                     degrade(rung, f"{type(exc).__name__}: {exc}", pending)
                     continue
                 if breaker is not None:
@@ -775,6 +763,18 @@ class GemmService:
         bridge_records(self.obs, records)
         return [out], [seconds], [seconds]
 
+    def _breaker_failure(self, device: str, tick: int, rid: int, rung: str,
+                         cause: str) -> None:
+        """Feed one runtime failure to ``device``'s circuit breaker; a
+        failure that opens it is counted and incident-logged."""
+        breaker = self.breakers.get(device)
+        if breaker is not None and breaker.record_failure(tick):
+            self.counters.breaker_trips += 1
+            self.log.record(
+                rid, "breaker_trip", device=device, rung=rung,
+                detail=f"opened after: {cause}", trace_id=self._trace_id,
+            )
+
     def _freivalds(self, rid: int, call: GemmCall, out, device: str,
                    rung: str, note: str = "") -> Optional[bool]:
         """Gate 4 for one served result: a seeded Freivalds check, when
@@ -789,7 +789,7 @@ class GemmService:
         if self._unit("verify", rid) >= cfg.verify_rate:
             return None
         with self.obs.span("verify.freivalds",
-                           rounds=cfg.verify_rounds) as vspan:
+                           rounds=self.verifier.rounds) as vspan:
             check = self.verifier.check(
                 call.a, call.b, out, call.alpha, call.beta, call.c,
                 call.transa, call.transb, key=f"req:{rid}",
@@ -959,7 +959,7 @@ class GemmService:
     def _canary_problem(self):
         """A fixed seeded known-answer GEMM (reference precomputed once)."""
         if self._canary_cache is None:
-            n = self.config.canary_size
+            n = _CANARY_SIZE
             rng = np.random.default_rng(self.config.seed + 0xCA0A)
             a = rng.standard_normal((n, n)).astype(self.dtype)
             b = rng.standard_normal((n, n)).astype(self.dtype)
@@ -967,10 +967,50 @@ class GemmService:
             self._canary_cache = (a, b, expected)
         return self._canary_cache
 
+    def _known_answer(self, rung: Rung,
+                      salt: str) -> Tuple[bool, Optional[float]]:
+        """The one known-answer check: the seeded canary GEMM through
+        ``rung`` under the watchdog, its faults salted with ``salt``.
+
+        Returns ``(correct, seconds)``; ``seconds`` is the simulated
+        time of the attempt, None when it faulted before timing anything.
+        """
+        a, b, expected = self._canary_problem()
+        injector = self._salted_injector(salt)
+        try:
+            out, seconds = call_with_timeout(
+                lambda: rung.call(a, b, None, 1.0, 0.0, "N", "N",
+                                  injector=injector),
+                self.config.attempt_timeout_s,
+            )
+        except (CLError, MeasurementTimeout):
+            return False, None
+        tol = 1e-4 if self.precision == "s" else 1e-10
+        correct = bool(np.all(np.isfinite(out))) and (
+            relative_error(out, expected) < tol
+        )
+        return correct, seconds
+
+    def probe_parked(self, device: str,
+                     salt: str) -> Tuple[bool, Optional[float]]:
+        """Known-answer probe of a parked device's best rung.
+
+        Returns ``(correct, latency_ratio)``: the probe's simulated
+        seconds over the rung's noise-free prediction (None when the
+        probe faulted, nothing is parked, or the prediction is zero).
+        """
+        rungs = self._parked.get(device)
+        if not rungs:
+            return False, None
+        correct, seconds = self._known_answer(rungs[0], salt)
+        if seconds is None:
+            return False, None
+        predicted = rungs[0].predict_s(_CANARY_SIZE, _CANARY_SIZE,
+                                       _CANARY_SIZE)
+        return correct, seconds / predicted if predicted > 0 else None
+
     def _run_canaries(self, tick: int, rid: int) -> None:
         """Probe each quarantined kernel with a known-answer GEMM."""
-        a, b, expected = self._canary_problem()
-        tol = 1e-4 if self.precision == "s" else 1e-10
         rungs = {rung.key: rung for rung in self.ladder.rungs}
         for key in sorted(self._quarantined):
             rung = rungs.get(key)
@@ -979,18 +1019,8 @@ class GemmService:
                 # fleet manager probes it; quarantine state waits here.
                 continue
             self.counters.canaries_run += 1
-            injector = self._salted_injector(f"canary:{tick}:{key}")
             with self.obs.span(f"canary:{key}") as cspan:
-                try:
-                    out, _ = call_with_timeout(
-                        lambda: rung.call(a, b, None, 1.0, 0.0, "N", "N",
-                                          injector=injector),
-                        self.config.attempt_timeout_s,
-                    )
-                    ok = bool(np.all(np.isfinite(out))) \
-                        and relative_error(out, expected) < tol
-                except (CLError, MeasurementTimeout):
-                    ok = False
+                ok, _ = self._known_answer(rung, f"canary:{tick}:{key}")
                 cspan.set(passed=ok)
             if ok:
                 self._quarantined[key] += 1

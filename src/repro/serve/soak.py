@@ -34,6 +34,23 @@ __all__ = [
     "DEFAULT_TENANT_LOADS",
 ]
 
+#: How far ahead of simulated time the async soak materialises
+#: arrivals; keeps the in-flight operand working set bounded for
+#: 1e5-request runs.
+_LOOKAHEAD_S = 5e-4
+#: Time-trajectory resolution of the async soak's benchmark report.
+_TRAJECTORY_BUCKETS = 20
+#: Recovery bar of the churn soak: after a fault episode ends, the
+#: windowed p99 must return to within this factor of the pre-episode
+#: steady state, measured over sliding windows this wide.
+_RECOVERY_FACTOR = 2.0
+_RECOVERY_WINDOW_S = 0.02
+
+
+def _tolerance(dtype) -> float:
+    """Ground-truth bound on every soak response's relative error."""
+    return 1e-10 if dtype == np.float64 else 1e-4
+
 
 @dataclass(frozen=True)
 class SoakConfig:
@@ -51,8 +68,6 @@ class SoakConfig:
     #: Mean simulated inter-arrival spacing; individual gaps jitter
     #: around it deterministically.
     interarrival_s: float = 0.005
-    #: Tolerance for the end-to-end ground-truth comparison.
-    tolerance: float = 1e-10
 
 
 @dataclass
@@ -112,9 +127,7 @@ def run_soak(service: GemmService, config: Optional[SoakConfig] = None) -> SoakR
     config = config or SoakConfig()
     rng = np.random.default_rng(config.seed)
     dtype = service.dtype
-    tolerance = config.tolerance if dtype == np.float64 else max(
-        config.tolerance, 1e-4
-    )
+    tolerance = _tolerance(dtype)
     served = shed = wrong = 0
     worst_error = 0.0
     failures: List[Tuple[int, str, float, str]] = []
@@ -232,15 +245,9 @@ class AsyncSoakConfig:
     #: default overloads the service enough to exercise queueing,
     #: coalescing, and shedding without drowning every tenant.
     interarrival_s: float = 2.5e-5
-    #: How far ahead of simulated time arrivals are materialised; keeps
-    #: the in-flight operand working set bounded for 1e5-request runs.
-    lookahead_s: float = 5e-4
-    tolerance: float = 1e-10
     #: Hot-swap the first device's serving kernel at this fraction of
     #: the arrival horizon (0 disables).
     hot_swap_at: float = 0.5
-    #: Time-trajectory resolution of the benchmark report.
-    trajectory_buckets: int = 20
     #: Coalescing cap forwarded to the scheduler.
     max_batch: int = 16
     #: Deterministic demand cycle: during the second half of every
@@ -451,7 +458,7 @@ def run_async_soak(
 
     Streams ``config.requests`` arrivals through an
     :class:`~repro.serve.sched.AsyncScheduler` (submissions stay within
-    ``lookahead_s`` of simulated time so memory stays bounded), hot-swaps
+    ``_LOOKAHEAD_S`` of simulated time so memory stays bounded), hot-swaps
     the first device's serving kernel mid-run, ground-truths **every**
     served response against the host reference, and drains gracefully.
     Returns the :class:`AsyncSoakReport` whose ``as_dict()`` is the
@@ -469,9 +476,7 @@ def run_async_soak(
 
     config = config or AsyncSoakConfig()
     dtype = service.dtype
-    tolerance = config.tolerance if dtype == np.float64 else max(
-        config.tolerance, 1e-4
-    )
+    tolerance = _tolerance(dtype)
     scheduler = AsyncScheduler(
         service,
         [t.tenant_config() for t in config.tenants],
@@ -548,7 +553,7 @@ def run_async_soak(
     while pending is not None or scheduler.queues.queued or scheduler._arrivals:
         progressed = False
         while (pending is not None
-               and pending[0] <= scheduler.now + config.lookahead_s):
+               and pending[0] <= scheduler.now + _LOOKAHEAD_S):
             arrival, load, problem = pending
             a, b, c, alpha, beta, transa, transb = problem
             ticket = scheduler.submit(
@@ -605,7 +610,7 @@ def run_async_soak(
             },
         }
 
-    buckets = max(1, config.trajectory_buckets)
+    buckets = _TRAJECTORY_BUCKETS
     width = duration / buckets if duration > 0 else 1.0
     trajectory: List[Dict] = []
     for i in range(buckets):
@@ -673,11 +678,6 @@ class FleetSoakConfig:
     )
     #: Fleet-manager knobs; None takes the FleetConfig defaults.
     fleet: Optional[object] = None
-    #: Recovery bar: after a fault episode ends, the windowed p99 must
-    #: return to within this factor of the pre-episode steady state.
-    recovery_factor: float = 2.0
-    #: Width of the sliding p99 window used for recovery accounting.
-    recovery_window_s: float = 0.02
 
 
 @dataclass
@@ -768,18 +768,16 @@ def _episode_recovery(
     service: GemmService,
     series: List[Tuple[float, float]],
     until_s: float,
-    factor: float,
-    window_s: float,
 ) -> List[Dict]:
     """Ground-truth fault episodes + measured p99 recovery after each.
 
     Episodes come from the injector's :meth:`active_windows` — the same
     deterministic schedule the faults themselves were rolled from, so
     this is accounting, not detection.  For each episode the steady
-    state is the p99 of the ``window_s`` of completions before it began;
-    recovery is the first post-episode window whose p99 is back within
-    ``factor`` of that (windows with no completions are skipped — an
-    outage can stall completions entirely).
+    state is the p99 of the ``_RECOVERY_WINDOW_S`` of completions before
+    it began; recovery is the first post-episode window whose p99 is
+    back within ``_RECOVERY_FACTOR`` of that (windows with no
+    completions are skipped — an outage can stall completions entirely).
     """
     injector = getattr(service, "_base_injector", None)
     if injector is None or not hasattr(injector, "active_windows"):
@@ -799,24 +797,24 @@ def _episode_recovery(
     for kind in ("zone_outage", "brownout"):
         for zone in zones:
             for start, end in injector.active_windows(kind, zone, until_s):
-                steady = window_p99(start - window_s, start)
+                steady = window_p99(start - _RECOVERY_WINDOW_S, start)
                 end = min(end, until_s)
                 recovered_after: Optional[float] = None
                 if steady > 0:
                     t = end
                     while t < until_s:
-                        p99 = window_p99(t, t + window_s)
-                        if 0 < p99 <= factor * steady:
-                            recovered_after = t + window_s - end
+                        p99 = window_p99(t, t + _RECOVERY_WINDOW_S)
+                        if 0 < p99 <= _RECOVERY_FACTOR * steady:
+                            recovered_after = t + _RECOVERY_WINDOW_S - end
                             break
-                        t += window_s
+                        t += _RECOVERY_WINDOW_S
                 episodes.append({
                     "kind": kind,
                     "zone": zone,
                     "start_s": start,
                     "end_s": end,
                     "steady_p99_ms": steady * 1e3,
-                    "recovery_factor": factor,
+                    "recovery_factor": _RECOVERY_FACTOR,
                     "recovered_after_s": recovered_after,
                     "recovered": recovered_after is not None,
                 })
@@ -871,8 +869,5 @@ def run_fleet_soak(
         flap_pairs=flap_pairs,
         devices=summary["devices"],
         final_serving=summary["final_serving"],
-        episodes=_episode_recovery(
-            service, series, now,
-            config.recovery_factor, config.recovery_window_s,
-        ),
+        episodes=_episode_recovery(service, series, now),
     )

@@ -326,7 +326,12 @@ class LockOrderRecorder(contextlib.AbstractContextManager):
     def _factory(self, original):
         def make_lock(*a, **kw):
             inner = original(*a, **kw)
+            # Skip this module's own frames: under a nested recorder the
+            # direct caller is the inner recorder's make_lock, and the
+            # lock belongs to whoever called *that*.
             caller = sys._getframe(1)
+            while caller.f_code.co_filename == __file__:
+                caller = caller.f_back
             filename = caller.f_code.co_filename
             if not filename.startswith(self._package):
                 return inner

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clsim.faults import CANNED_PLANS, FaultInjector
+from repro.obs import Observability
 from repro.serve import GemmService, ServiceConfig
 from repro.serve.breaker import BreakerState
 from repro.serve.fleet import (
@@ -124,7 +125,6 @@ class TestLifecycle:
 class TestAutoscaler:
     @pytest.mark.parametrize("bad", [
         dict(shrink_queue_depth=24.0, grow_queue_depth=24.0),
-        dict(grow_p99_s=0.1, shrink_p99_s=0.1),
         dict(min_devices=0), dict(sustain_evals=0), dict(max_step=0),
     ])
     def test_hysteresis_validation(self, bad):
@@ -133,27 +133,27 @@ class TestAutoscaler:
 
     def test_single_breach_does_not_act(self):
         scaler = Autoscaler(AutoscaleConfig(sustain_evals=3))
-        assert scaler.evaluate(0.0, 1000.0, None, 2) is None
-        assert scaler.evaluate(0.01, 0.0, None, 2) is None  # resets
-        assert scaler.evaluate(0.02, 1000.0, None, 2) is None
+        assert scaler.evaluate(0.0, 1000.0, 2) is None
+        assert scaler.evaluate(0.01, 0.0, 2) is None  # resets
+        assert scaler.evaluate(0.02, 1000.0, 2) is None
 
     def test_sustained_breach_grows_then_cooldown_holds(self):
         cfg = AutoscaleConfig(sustain_evals=2, cooldown_s=0.05)
         scaler = Autoscaler(cfg)
-        assert scaler.evaluate(0.00, 100.0, None, 2) is None
-        assert scaler.evaluate(0.01, 100.0, None, 2) == "grow"
+        assert scaler.evaluate(0.00, 100.0, 2) is None
+        assert scaler.evaluate(0.01, 100.0, 2) == "grow"
         # Inside the cooldown even a sustained *opposite* breach waits.
-        assert scaler.evaluate(0.02, 0.0, None, 3) is None
-        assert scaler.evaluate(0.03, 0.0, None, 3) is None
-        assert scaler.evaluate(0.04, 0.0, None, 3) is None
-        assert scaler.evaluate(0.07, 0.0, None, 3) == "shrink"
+        assert scaler.evaluate(0.02, 0.0, 3) is None
+        assert scaler.evaluate(0.03, 0.0, 3) is None
+        assert scaler.evaluate(0.04, 0.0, 3) is None
+        assert scaler.evaluate(0.07, 0.0, 3) == "shrink"
 
     def test_bounds_respected(self):
         cfg = AutoscaleConfig(min_devices=1, max_devices=2,
                               sustain_evals=1, cooldown_s=0.0)
         scaler = Autoscaler(cfg)
-        assert scaler.evaluate(0.0, 100.0, None, 2) is None  # at max
-        assert scaler.evaluate(0.1, 0.0, None, 1) is None  # at min
+        assert scaler.evaluate(0.0, 100.0, 2) is None  # at max
+        assert scaler.evaluate(0.1, 0.0, 1) is None  # at min
         assert scaler.step_limit("grow", 2) == 0
         assert scaler.step_limit("shrink", 1) == 0
 
@@ -175,7 +175,7 @@ class TestAutoscaler:
         events = []
         for i, depth in enumerate(depths):
             t = i * cfg.eval_interval_s
-            decision = scaler.evaluate(t, depth, None, fleet)
+            decision = scaler.evaluate(t, depth, fleet)
             if decision == "grow":
                 fleet += 1
                 events.append(t)
@@ -233,12 +233,12 @@ class TestDemandWave:
         assert _calm_stretch(0.2, 0.25, 1.0) == 1.0
 
 
-def _small_fleet_soak(seed=11, requests=1500):
+def _small_fleet_soak(seed=11, requests=1500, obs=None):
     injector = FaultInjector(plan=CANNED_PLANS["fleet-chaos"])
     service = GemmService(
         ["tahiti", "cypress"], precision="d",
         config=ServiceConfig(default_deadline_s=None),
-        fault_injector=injector,
+        fault_injector=injector, obs=obs,
     )
     config = FleetSoakConfig(
         soak=AsyncSoakConfig(requests=requests, seed=seed, hot_swap_at=0.0),
@@ -283,7 +283,9 @@ class TestChurnSoak:
         assert sum(h["count"] for h in hints) > 0
 
     def test_payload_is_deterministic(self, report):
-        again = _small_fleet_soak()
+        # The rerun exports telemetry: observability must not change
+        # a single byte of the payload.
+        again = _small_fleet_soak(obs=Observability(seed=11, trace_limit=8))
         assert (json.dumps(report.as_dict(), sort_keys=True)
                 == json.dumps(again.as_dict(), sort_keys=True))
 
