@@ -45,15 +45,15 @@ __all__ = [
 def _validate_operand(name: str, mat: np.ndarray) -> np.ndarray:
     """One operand's structural checks; returns the array as ndarray."""
     mat = np.asanyarray(mat)
-    if mat.dtype == object:
-        raise InvalidRequestError(name, "object-dtype arrays are not supported")
-    if np.issubdtype(mat.dtype, np.complexfloating):
-        raise InvalidRequestError(
-            name, f"complex dtype {mat.dtype} is not supported (GEMM is real)"
-        )
-    if not (np.issubdtype(mat.dtype, np.floating)
-            or np.issubdtype(mat.dtype, np.integer)
-            or np.issubdtype(mat.dtype, np.bool_)):
+    kind = mat.dtype.kind
+    if kind not in "fiub":  # real floats, signed/unsigned ints, bool
+        if kind == "O":
+            raise InvalidRequestError(
+                name, "object-dtype arrays are not supported")
+        if kind == "c":
+            raise InvalidRequestError(
+                name, f"complex dtype {mat.dtype} is not supported "
+                      f"(GEMM is real)")
         raise InvalidRequestError(
             name, f"dtype {mat.dtype} cannot be cast to a GEMM precision"
         )

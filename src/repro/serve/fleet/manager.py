@@ -35,7 +35,7 @@ bit-identical run to run — the churn-soak acceptance test diffs them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.serve.fleet.autoscale import Autoscaler, AutoscaleConfig, ScaleEvent
 from repro.serve.fleet.health import DeviceHealth
@@ -44,12 +44,12 @@ from repro.serve.fleet.lifecycle import DeviceLifecycle, DeviceState
 __all__ = ["FleetConfig", "FleetManager"]
 
 #: Incident kinds treated as failure evidence, with their weights.
-_FAILURE_WEIGHTS: Tuple[Tuple[str, float], ...] = (
-    ("breaker_trip", 2.0),
-    ("corruption", 1.5),
-    ("canary_fail", 1.0),
-    ("degraded", 1.0),  # only when the detail carries an exception name
-)
+_FAILURE_WEIGHTS: Dict[str, float] = {
+    "breaker_trip": 2.0,
+    "corruption": 1.5,
+    "canary_fail": 1.0,
+    "degraded": 1.0,  # only when the detail carries an exception name
+}
 
 #: Consecutive known-answer passes a warming device needs to serve.
 _WARM_PASSES = 2
@@ -168,10 +168,10 @@ class FleetManager:
 
     def _scan_incidents(self, now_s: float) -> None:
         """Read new incident records once, crediting failure evidence."""
-        incidents = list(self.service.log)
-        weights = dict(_FAILURE_WEIGHTS)
-        for incident in incidents[self._incident_cursor:]:
-            weight = weights.get(incident.kind)
+        incidents = self.service.log.since(self._incident_cursor)
+        self._incident_cursor += len(incidents)
+        for incident in incidents:
+            weight = _FAILURE_WEIGHTS.get(incident.kind)
             if weight is None:
                 continue
             if incident.kind == "degraded":
@@ -185,7 +185,6 @@ class FleetManager:
             health = self.healths.get(incident.device)
             if health is not None:
                 health.observe_failure(now_s, weight)
-        self._incident_cursor = len(incidents)
 
     # -- the periodic tick ----------------------------------------------
     def tick(self, now_s: float) -> None:

@@ -196,6 +196,11 @@ class IncidentLog:
     def __iter__(self):
         return iter(self._incidents)
 
+    def since(self, seq: int) -> List[Incident]:
+        """The records from sequence number ``seq`` on, without copying
+        the ones before it."""
+        return self._incidents[seq:]
+
     def by_kind(self, kind: str) -> List[Incident]:
         return [i for i in self._incidents if i.kind == kind]
 

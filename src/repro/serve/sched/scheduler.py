@@ -239,6 +239,11 @@ class AsyncScheduler:
     ) -> Ticket:
         """Queue one request; returns its :class:`Ticket` immediately.
 
+        The request is validated here, once, and queued without a copy
+        of operands already in the service's dtype: they are borrowed
+        until the ticket completes, as with a non-blocking
+        ``clEnqueueWriteBuffer``.
+
         Raises :class:`~repro.errors.InvalidRequestError` for malformed
         input (never queued) and :class:`~repro.errors.AdmissionError`
         once the scheduler is draining.
@@ -529,14 +534,12 @@ class AsyncScheduler:
         return max(request.deadline_abs - self.now, 0.0)
 
     def _dispatch_single(self, request: QueuedRequest) -> None:
-        call = request.call
         dispatched = self.now
         risky = self._risky_devices() if self.config.hedge else ()
         with self.obs.span("sched.dispatch", kind="single",
                            tenant=request.tenant, rid=request.rid):
-            result = self.service.submit(
-                call.a, call.b, call.c, call.alpha, call.beta,
-                call.transa, call.transb,
+            result = self.service.submit_call(
+                request.call,
                 deadline_s=self._remaining_deadline(request),
                 arrival_dt_s=_DRAIN_SERVICE_BACKLOG_S,
                 request_id=request.rid,
@@ -565,12 +568,10 @@ class AsyncScheduler:
                     f"half-open {','.join(risky)}; re-launching "
                     f"({state.hedges_left} hedges left)"),
         )
-        call = request.call
         with self.obs.span("sched.dispatch", kind="hedge",
                            tenant=request.tenant, rid=request.rid):
-            hedge = self.service.submit(
-                call.a, call.b, call.c, call.alpha, call.beta,
-                call.transa, call.transb,
+            hedge = self.service.submit_call(
+                request.call,
                 deadline_s=remaining,
                 arrival_dt_s=_DRAIN_SERVICE_BACKLOG_S,
                 request_id=request.rid + _HEDGE_RID_OFFSET,

@@ -162,9 +162,10 @@ class GemmCall:
     """One GEMM problem, as the request path carries it.
 
     A value object the async scheduler queues and the service's
-    request path consumes; ``validate`` returns a
-    normalized copy (arrays cast to the service's dtype, transposes
-    upper-cased) or raises :class:`~repro.errors.InvalidRequestError`.
+    request path consumes; ``validate`` returns a normalized copy
+    (arrays cast to the service's dtype, transposes upper-cased), or the
+    call itself when ``validate`` made it for that dtype, or raises
+    :class:`~repro.errors.InvalidRequestError`.
     """
 
     a: np.ndarray
@@ -174,8 +175,16 @@ class GemmCall:
     beta: float = 0.0
     transa: str = "N"
     transb: str = "N"
+    #: The dtype ``validate`` checked this call for.  Only ``validate``
+    #: sets it: no constructor argument takes it, equality and repr
+    #: ignore it, and ``dataclasses.replace`` builds a call without it.
+    _validated_for: Optional[np.dtype] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def validate(self, dtype: np.dtype) -> "GemmCall":
+        # (A None record must not reach ==: np.dtype(None) is float64.)
+        if self._validated_for is not None and self._validated_for == dtype:
+            return self  # returned by validate for this dtype
         a, b, c, transa, transb = validate_gemm_request(
             self.a, self.b, self.c, self.alpha, self.beta,
             self.transa, self.transb,
@@ -195,7 +204,9 @@ class GemmCall:
         for name, mat in operands:
             if not np.isfinite(mat).all():
                 raise InvalidRequestError(name, "contains NaN or Inf")
-        return GemmCall(a, b, c, self.alpha, self.beta, transa, transb)
+        call = GemmCall(a, b, c, self.alpha, self.beta, transa, transb)
+        object.__setattr__(call, "_validated_for", np.dtype(dtype))
+        return call
 
     def dims(self) -> Tuple[int, int, int]:
         """Problem dimensions (M, N, K) after transpose resolution."""
@@ -395,15 +406,24 @@ class GemmService:
         :class:`AdmissionError` when the request is shed; every admitted
         request returns a numerically correct :class:`ServeResult`.
         """
-        self._tick += 1
-        rid = self._tick if request_id is None else request_id
-        (result,) = self._serve(
-            [GemmCall(a, b, c, alpha, beta, transa, transb)], [rid],
-            deadline_s, arrival_dt_s, batched=False,
+        return self.submit_call(
+            GemmCall(a, b, c, alpha, beta, transa, transb),
+            deadline_s, arrival_dt_s, request_id,
         )
-        return result
 
     __call__ = submit
+
+    def submit_call(self, call: GemmCall, deadline_s: Optional[float] = None,
+                    arrival_dt_s: Optional[float] = None,
+                    request_id: Optional[int] = None) -> ServeResult:
+        """:meth:`submit` for a :class:`GemmCall`.  A call ``validate``
+        returned for the service's dtype, as the async scheduler queues
+        them, passes gate 1 without a second operand scan."""
+        self._tick += 1
+        rid = self._tick if request_id is None else request_id
+        (result,) = self._serve([call], [rid], deadline_s, arrival_dt_s,
+                                batched=False)
+        return result
 
     def submit_batch(
         self,

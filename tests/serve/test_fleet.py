@@ -213,6 +213,40 @@ class TestServiceMembership:
         assert "gtx680" not in service.serving_devices
 
 
+class TestIncidentScan:
+    def test_a_tick_visits_only_the_new_records(self, monkeypatch):
+        from repro.serve.fleet import FleetManager
+        from repro.serve.incident import IncidentLog
+        from repro.serve.sched import AsyncScheduler, TenantConfig
+
+        service = GemmService(["tahiti", "cypress"], precision="d")
+        manager = FleetManager(AsyncScheduler(service, [TenantConfig("t")]))
+        visited = []
+        since = IncidentLog.since
+
+        def spy(log, seq):
+            records = since(log, seq)
+            visited.append([r.seq for r in records])
+            return records
+
+        def no_full_copy(log):
+            raise AssertionError("tick iterated the whole incident log")
+
+        monkeypatch.setattr(IncidentLog, "since", spy)
+        monkeypatch.setattr(IncidentLog, "__iter__", no_full_copy)
+        log = service.log
+        start = len(log)
+        log.record(1, "breaker_trip", device="tahiti")
+        manager.tick(0.0)
+        log.record(2, "corruption", device="cypress")
+        log.record(3, "hedge")
+        manager.tick(1e-6)
+        manager.tick(2e-6)
+        assert visited == [[start], [start + 1, start + 2], []]
+        assert manager.healths["tahiti"].failure_events == 1
+        assert manager.healths["cypress"].failure_events == 1
+
+
 class TestDemandWave:
     def test_busy_half_runs_at_full_rate(self):
         assert _calm_stretch(0.0, 0.25, 4.0) == 1.0

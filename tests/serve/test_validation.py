@@ -136,3 +136,41 @@ def test_service_counts_and_logs_invalid_requests(ab):
     incidents = service.log.by_kind("invalid")
     assert len(incidents) == 1
     assert "argument 'b'" in incidents[0].detail
+
+
+# The operand dtype gate, by dtype kind: real floats, signed and
+# unsigned integers and bool are accepted; everything else is refused
+# with one of three texts.  timedelta64 is refused although numpy files
+# it under np.integer: a duration is not a GEMM operand.
+_CANNOT_CAST = "dtype {} cannot be cast to a GEMM precision"
+OPERAND_DTYPES = [
+    ("float16", None), ("float32", None), ("float64", None),
+    ("longdouble", None),
+    ("int8", None), ("int16", None), ("int32", None), ("int64", None),
+    ("uint8", None), ("uint16", None), ("uint32", None), ("uint64", None),
+    ("bool", None),
+    ("complex64", "complex dtype complex64 is not supported (GEMM is real)"),
+    ("complex128",
+     "complex dtype complex128 is not supported (GEMM is real)"),
+    ("object", "object-dtype arrays are not supported"),
+    ("datetime64[s]", _CANNOT_CAST.format("datetime64[s]")),
+    ("timedelta64[s]", _CANNOT_CAST.format("timedelta64[s]")),
+    ("<U3", _CANNOT_CAST.format("<U3")),
+    ("S3", _CANNOT_CAST.format("|S3")),
+    ("V8", _CANNOT_CAST.format("|V8")),
+]
+
+
+@pytest.mark.parametrize("dtype, message", OPERAND_DTYPES,
+                         ids=[d for d, _ in OPERAND_DTYPES])
+def test_operand_dtype_gate(dtype, message):
+    a = np.zeros((2, 3), dtype=dtype)
+    b = np.ones((3, 4))
+    if message is None:
+        out_a, _, _, _, _ = validate_gemm_request(a, b)
+        assert out_a is a
+        return
+    with pytest.raises(InvalidRequestError) as exc:
+        validate_gemm_request(a, b)
+    assert exc.value.argument == "a"
+    assert str(exc.value) == f"invalid GEMM request: argument 'a': {message}"
