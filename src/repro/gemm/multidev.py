@@ -14,13 +14,14 @@ Under fault injection the fleet is *resilient*: a device that raises
 columns (plus everything not yet computed) are re-partitioned over the
 surviving devices by their tuned-throughput weights.  When the entire
 fleet is lost the remaining columns fall back to the host reference
-GEMM, so the call still returns numerically exact results.
+GEMM, so the call still returns numerically exact results.  The result
+names each lost device and its columns (:attr:`MultiDeviceResult.lost`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +65,15 @@ class MultiDeviceResult:
     M: int
     N: int
     K: int
-    #: Devices dropped mid-batch (DeviceLostError); their columns were
-    #: re-partitioned over the survivors or the host reference path.
-    lost_devices: Tuple[str, ...] = ()
+    #: ``(device, start, stop)`` per device dropped mid-batch
+    #: (DeviceLostError), in loss order: the columns it was running when
+    #: lost, re-partitioned over the survivors or the host reference path.
+    lost: Tuple[Tuple[str, int, int], ...] = ()
+
+    @property
+    def lost_devices(self) -> Tuple[str, ...]:
+        """The devices dropped mid-batch, in loss order."""
+        return tuple(device for device, _, _ in self.lost)
 
     @property
     def flops(self) -> float:
@@ -97,7 +104,6 @@ class MultiDeviceGemm:
         precision: str = "d",
         params: Optional[Dict[str, KernelParams]] = None,
         fault_injector: Optional["object"] = None,
-        on_device_lost: Optional[Callable[[str, int, int], None]] = None,
         obs=None,
         **routine_kwargs,
     ):
@@ -107,11 +113,6 @@ class MultiDeviceGemm:
         #: per call with per-device partition child spans.  Disabled by
         #: default.
         self.obs = obs if obs is not None else NULL_OBS
-        #: Observer hook called as ``(device, start, stop)`` when a device
-        #: is dropped mid-batch — the serving layer feeds its per-device
-        #: circuit breakers from this instead of polling ``lost_devices``
-        #: after the fact.
-        self.on_device_lost = on_device_lost
         self.specs: List[DeviceSpec] = [
             d if isinstance(d, DeviceSpec) else get_device_spec(d) for d in devices
         ]
@@ -191,6 +192,13 @@ class MultiDeviceGemm:
         del self.routines[device]
         del self._weights[device]
 
+    def replace_device(self, device: str, params: KernelParams) -> None:
+        """Rebuild a member's routine and weight around ``params``, in
+        its place in the column split (a no-op when it already runs
+        them).  Raises :class:`KeyError` if the device is not a member."""
+        if self.routines[device].params != params:
+            self._build_member(self.routines[device].device.spec, params)
+
     def partition(self, N: int) -> List[Tuple[str, int, int]]:
         """Split the N columns proportionally to device throughput."""
         return self._partition_specs(self.specs, 0, N)
@@ -238,7 +246,7 @@ class MultiDeviceGemm:
 
         out = np.empty((M, N), dtype=self.dtype)
         shares: List[DeviceShare] = []
-        lost: List[str] = []
+        lost: List[Tuple[str, int, int]] = []
         esize = out.dtype.itemsize
         active: List[DeviceSpec] = list(self.specs)
         with self.obs.span("multidev.gemm", M=M, N=N, K=K,
@@ -267,15 +275,13 @@ class MultiDeviceGemm:
                             # Drop the device; its columns rejoin the queue
                             # and are re-partitioned over the survivors by
                             # weight.
-                            lost.append(device)
+                            lost.append((device, start, stop))
                             root.event("device_lost", device=device,
                                        columns=f"{start}:{stop}")
                             if self._lost_counter is not None:
                                 self._lost_counter.labels(device=device).inc()
                             active = [s for s in active if s.codename != device]
                             remaining.append((start, stop))
-                            if self.on_device_lost is not None:
-                                self.on_device_lost(device, start, stop)
             for start, stop in remaining:
                 # The whole fleet is gone: exact but unaccelerated host path.
                 with self.obs.span("host.fallback", columns=f"{start}:{stop}"):
@@ -284,10 +290,8 @@ class MultiDeviceGemm:
                         "N", "N", alpha, a, b[:, start:stop], beta, c_slice
                     )
             if lost:
-                root.set(lost_devices=",".join(lost))
-        return MultiDeviceResult(
-            out, tuple(shares), M, N, K, lost_devices=tuple(lost)
-        )
+                root.set(lost_devices=",".join(d for d, _, _ in lost))
+        return MultiDeviceResult(out, tuple(shares), M, N, K, lost=tuple(lost))
 
     def _run_slice(
         self,

@@ -17,6 +17,7 @@ packing stage touches every element exactly once either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -100,7 +101,7 @@ def validate_gemm_request(
             raise InvalidRequestError(
                 name, f"must be a real scalar, got {type(value).__name__}"
             ) from None
-        if not np.isfinite(scalar):
+        if not math.isfinite(scalar):
             raise InvalidRequestError(name, f"must be finite, got {scalar}")
     M, Ka = a.shape if transa == "N" else a.shape[::-1]
     Kb, N = b.shape if transb == "N" else b.shape[::-1]

@@ -13,9 +13,9 @@
   incident log (cursor-based, so each record is read once) for failure
   evidence, probes warming and suspected devices with known-answer
   canaries, executes lifecycle transitions through the service's
-  membership API (admit / suspend / resume / retire), reconciles the
-  shard fleet (:meth:`AsyncScheduler.sync_fleet`), and evaluates the
-  autoscaler on the scheduler's total queue depth at its cadence.
+  membership API (admit / suspend / resume / retire; the service keeps
+  its shard fleet in step), and evaluates the autoscaler on the
+  scheduler's total queue depth at its cadence.
 
 Membership changes route traffic by *ladder surgery*: a suspected or
 warming device's rungs are parked off the degradation ladder — so no
@@ -232,7 +232,6 @@ class FleetManager:
                 -1, "fleet_suspect", device=device,
                 detail=f"score {score:.3f} at t={now_s * 1e3:.3f} ms",
             )
-            self.scheduler.sync_fleet()
 
     def _probe_parked(self, now_s: float) -> None:
         """Canary-probe warming and suspected devices (parked rungs).
@@ -273,7 +272,6 @@ class FleetManager:
                     self.service.resume_device(device)
                     self._admit_counter += 1
                     self._admit_seq[device] = self._admit_counter
-                    self.scheduler.sync_fleet()
             else:  # SUSPECTED
                 score = health.score(now_s)
                 if (self._probe_passes[device] >= _RECOVER_PASSES
@@ -288,7 +286,6 @@ class FleetManager:
                         -1, "fleet_recover", device=device,
                         detail=f"score {score:.3f} at t={now_s * 1e3:.3f} ms",
                     )
-                    self.scheduler.sync_fleet()
 
     # -- scaling ---------------------------------------------------------
     def _grow(self, now_s: float, depth: float) -> None:
@@ -368,7 +365,6 @@ class FleetManager:
                     device, reason="autoscaler shrink"
                 )
                 removed.append(device)
-            self.scheduler.sync_fleet()
         if removed:
             self._record_event("shrink", now_s, removed, before, depth)
 

@@ -11,10 +11,9 @@ and dispatching through the hardened service.  One dispatch may be:
   tenant queues and launched back to back through
   :meth:`GemmService.submit_batch`, paying one pipeline fill instead of
   per-member launch latencies;
-* a **sharded launch** — a large NN request split over the multi-device
-  fleet by :class:`~repro.gemm.multidev.MultiDeviceGemm`, with device
-  losses fed back into the service's circuit breakers and the combined
-  result Freivalds-sampled exactly like a single-device serve;
+* a **sharded launch** — a large NN request split over the service's
+  shard fleet by :meth:`GemmService.submit_sharded`; the scheduler
+  decides only *when* to shard;
 * a plain **single serve** through the degradation ladder.
 
 Robustness features layered on top:
@@ -48,13 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    AdmissionError,
-    CLError,
-    InvalidRequestError,
-    MeasurementTimeout,
-    ReproError,
-)
+from repro.errors import AdmissionError, InvalidRequestError, ReproError
 from repro.obs import NULL_OBS
 from repro.serve.breaker import BreakerState
 from repro.serve.service import (
@@ -64,7 +57,6 @@ from repro.serve.service import (
     ServeResult,
 )
 from repro.serve.sched.tenancy import FairQueue, QueuedRequest, TenantConfig
-from repro.tuner.resilience import call_with_timeout
 
 __all__ = ["SchedulerConfig", "Ticket", "AsyncScheduler"]
 
@@ -84,9 +76,9 @@ _DRAIN_SERVICE_BACKLOG_S = 1e9
 _RUNG_RANK = {"tuned": 0, "pretuned": 1, "sharded": 1, "direct": 2,
               "reference": 3}
 
-#: NN problems with any dim at or above this shard across the fleet
-#: (when the service has two or more devices).  Coalescing candidates
-#: are the small GEMMs of the service's ledger (``SMALL_GEMM_DIM``).
+#: NN problems with any dim at or above this shard across the service's
+#: fleet (when it has two or more members).  Coalescing candidates are
+#: the small GEMMs of the service's ledger (``SMALL_GEMM_DIM``).
 _SHARD_DIM = 256
 
 
@@ -168,8 +160,8 @@ class AsyncScheduler:
         #: response and release its operands here instead of holding
         #: every array until the end of the run.
         self.on_complete = None
-        self.fleet = self._build_fleet()
-        self._lost_events: List[Tuple[str, int, int]] = []
+        if self.config.shard:
+            service.enable_sharding()
         if self.obs.enabled:
             self._depth_gauge = self.obs.gauge(
                 "sched_queue_depth",
@@ -192,36 +184,6 @@ class AsyncScheduler:
             self._depth_gauge = None
             self._latency_hist = None
             self._dispatch_counter = None
-
-    # -- construction helpers -------------------------------------------
-    def _tuned_devices(self) -> Dict[str, object]:
-        """Device -> parameters of each ``tuned`` rung on the serving
-        ladder, in ladder order: the devices the shard fleet spans."""
-        tuned: Dict[str, object] = {}
-        for rung in self.service.ladder.rungs:
-            if rung.name == "tuned":
-                tuned.setdefault(rung.device, rung.params)
-        return tuned
-
-    def _build_fleet(self):
-        """A :class:`MultiDeviceGemm` over the service's devices, when
-        there are at least two to shard across (else ``None``)."""
-        if not self.config.shard:
-            return None
-        tuned = self._tuned_devices()
-        if len(tuned) < 2:
-            return None
-        from repro.gemm.multidev import MultiDeviceGemm
-
-        return MultiDeviceGemm(
-            list(tuned), self.service.precision, tuned,
-            fault_injector=None, obs=self.obs,
-            on_device_lost=self._on_device_lost,
-            measurement_noise=False,
-        )
-
-    def _on_device_lost(self, device: str, start: int, stop: int) -> None:
-        self._lost_events.append((device, start, stop))
 
     # -- submission ------------------------------------------------------
     def submit(
@@ -279,7 +241,7 @@ class AsyncScheduler:
         request = QueuedRequest(
             rid=rid, tenant=tenant, call=call,
             arrival_s=arrival, enqueued_s=arrival,
-            predicted_s=self._predict_s(*call.dims()),
+            predicted_s=self.service.predict_s(*call.dims()),
             finish_tag=0.0,
             deadline_abs=None if limit is None else arrival + limit,
             shape=call.dims(), ticket=ticket,
@@ -287,18 +249,6 @@ class AsyncScheduler:
         self.tickets.append(ticket)
         heapq.heappush(self._arrivals, (arrival, rid, request))
         return ticket
-
-    def _predict_s(self, M: int, N: int, K: int) -> float:
-        """The fastest available rung's predicted service time — the
-        lower bound behind both SFQ costs and deadline cancellation."""
-        best: Optional[float] = None
-        for rung in self.service.ladder.rungs:
-            if rung.key in self.service._static_rejected:
-                continue
-            predicted = rung.predict_s(M, N, K)
-            if best is None or predicted < best:
-                best = predicted
-        return best if best is not None else 0.0
 
     # -- hot swap / drain ------------------------------------------------
     def request_hot_swap(self, device: str, params,
@@ -442,7 +392,7 @@ class AsyncScheduler:
         fastest available rung's prediction overruns it."""
         if request.deadline_abs is None:
             return False
-        best = self._predict_s(*request.shape)
+        best = self.service.predict_s(*request.shape)
         if self.now + best <= request.deadline_abs:
             return False
         state = self.queues[request.tenant]
@@ -492,33 +442,13 @@ class AsyncScheduler:
         return batch
 
     def _shardable(self, request: QueuedRequest) -> bool:
+        """Shard large NN requests while the service's fleet has two or
+        more members."""
         call = request.call
-        return (self.fleet is not None
-                and len(self.fleet.specs) >= 2
+        fleet = self.service.fleet
+        return (fleet is not None and len(fleet.specs) >= 2
                 and call.transa == "N" and call.transb == "N"
                 and max(request.shape) >= _SHARD_DIM)
-
-    def sync_fleet(self) -> None:
-        """Reconcile the shard fleet with the service's serving ladder.
-
-        The fleet manager calls this after membership changes: devices
-        whose ``tuned`` rung left the ladder are retired from the shard
-        fleet (their column shares re-normalise over the survivors) and
-        newly serving devices are admitted.  A fleet that shrinks below
-        two devices is kept but stops sharding (:meth:`_shardable`);
-        one that was never built (single-device start) is built the
-        first time two tuned devices are serving.
-        """
-        if self.fleet is None:
-            self.fleet = self._build_fleet()
-            return
-        tuned = self._tuned_devices()
-        members = {s.codename for s in self.fleet.specs}
-        for device in sorted(members - set(tuned)):
-            self.fleet.retire_device(device)
-        for device, params in tuned.items():
-            if device not in members:
-                self.fleet.admit_device(device, params)
 
     def _risky_devices(self) -> Tuple[str, ...]:
         return tuple(
@@ -604,100 +534,32 @@ class AsyncScheduler:
             self._complete(request, result, dispatched)
 
     def _dispatch_shard(self, request: QueuedRequest) -> None:
-        """Split one large NN request across the fleet.
+        """Serve one large NN request across the service's fleet.
 
-        The combined result is Freivalds-sampled like any device serve;
-        a caught corruption falls back to the full single-device ladder
-        (which re-verifies), so sharding never weakens correctness.
-        Device losses feed the per-device circuit breakers.
+        A fault the fleet cannot absorb falls back to the single-device
+        ladder, which owns retries, at once.  A caught corruption falls
+        back after its attempt burned its time; the ladder re-verifies,
+        so sharding never weakens correctness.
         """
-        service = self.service
-        call = request.call
         dispatched = self.now
-        rid = request.rid
         M, N, K = request.shape
-        injector = service._salted_injector(f"req:{rid}:shard")
-        for routine in self.fleet.routines.values():
-            routine.context.fault_injector = injector
-        self._lost_events = []
+        # The service's checks run inside the dispatch span, so their
+        # spans join its trace.
         with self.obs.span("sched.dispatch", kind="shard",
-                           tenant=request.tenant, rid=rid,
+                           tenant=request.tenant, rid=request.rid,
                            shape=f"{M}x{N}x{K}"):
-            try:
-                md = call_with_timeout(
-                    lambda: self.fleet(call.a, call.b, call.c,
-                                       alpha=call.alpha, beta=call.beta),
-                    service.config.attempt_timeout_s,
-                )
-            except (CLError, MeasurementTimeout) as exc:
-                # A slice failed with something the fleet cannot absorb
-                # (transient launch fault, watchdog timeout): fall back
-                # to the single-device ladder, which owns retry logic.
-                service.log.record(
-                    rid, "degraded", device="fleet", rung="sharded",
-                    detail=(f"{type(exc).__name__}: {exc}; falling back "
-                            f"to the single-device ladder"),
-                )
+            result, seconds = self.service.submit_sharded(
+                request.call, request.rid,
+                deadline_s=self._remaining_deadline(request),
+            )
+            if seconds is None:
                 self._dispatch_single(request)
                 return
-            for device, start, stop in self._lost_events:
-                service._breaker_failure(device, service._tick, rid,
-                                         "sharded", "device lost mid-shard")
-                service.log.record(
-                    rid, "degraded", device=device, rung="sharded",
-                    detail=f"device lost; columns {start}:{stop} re-partitioned",
-                )
-            # Inside the dispatch span, so the check's span joins its trace.
-            passed = service._freivalds(
-                rid, call, md.c, "fleet", "sharded",
-                note="; re-serving via the single-device ladder",
-            )
-        seconds = md.wall_seconds
         self.now += seconds
         self._count_dispatch("shard")
-        if passed is False:
-            # The corrupt sharded attempt burned its wall time; the
-            # single-device ladder (with its own verification) now
-            # owns the request.  The shard path only counts the
-            # request on success, so service.submit counts it here.
+        if result is None:
             self._dispatch_single(request)
             return
-        # Counted only now: the counters are monotonic (the registry
-        # exports them as Prometheus counters), so the fallback paths
-        # above must never have to un-count.
-        service.counters.requests += 1
-        service.counters.admitted += 1
-        service.counters.sharded += 1
-        service.counters.completed += 1
-        service.counters.count_rung("sharded")
-        degraded = bool(md.lost_devices)
-        if degraded:
-            service.counters.degraded += 1
-        service.log.record(
-            rid, "shard",
-            detail=(f"{M}x{N}x{K} over {len(md.shares)} shares "
-                    f"({len(self.fleet.specs)}-device fleet)"
-                    + (f"; lost {','.join(md.lost_devices)}"
-                       if md.lost_devices else "")),
-        )
-        result = ServeResult(
-            c=md.c, request_id=rid, rung="sharded", device="fleet",
-            degraded=degraded, verified=bool(passed), service_s=seconds,
-            queue_wait_s=dispatched - request.arrival_s,
-            degradations=[("fleet:sharded", f"lost {d}")
-                          for d in md.lost_devices],
-        )
-        if (request.deadline_abs is not None
-                and self.now > request.deadline_abs):
-            result.deadline_missed = True
-            service.counters.deadline_missed += 1
-            service.log.record(
-                rid, "deadline_missed", device="fleet", rung="sharded",
-                detail=(f"served {(self.now - request.arrival_s) * 1e3:.3f}"
-                        f" ms after arrival against a "
-                        f"{(request.deadline_abs - request.arrival_s) * 1e3:.3f}"
-                        f" ms deadline"),
-            )
         request.ticket.sharded = True
         self._complete(request, result, dispatched)
 
@@ -745,7 +607,7 @@ class AsyncScheduler:
                 f"queued={len(state.queue):<4d} served={state.served:<6d} "
                 f"shed={state.shed_events:<4d} cancelled={state.cancelled}"
             )
-        if self.fleet is not None:
-            lines.append(f"  fleet: {len(self.fleet.specs)} devices "
+        if self.service.fleet is not None:
+            lines.append(f"  fleet: {len(self.service.fleet.specs)} devices "
                          f"(shard at dim >= {_SHARD_DIM})")
         return "\n".join(lines)

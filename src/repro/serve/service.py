@@ -26,6 +26,9 @@ this one path; they differ only in how a device rung launches the
 pending requests (one routine call, or one pipelined
 :class:`~repro.gemm.batched.BatchedGemm`).
 
+:meth:`GemmService.submit_sharded` serves one large request split
+across the shard fleet, through gates 4 and 5 of the same path.
+
 Periodic known-answer canary GEMMs probe quarantined kernels and
 re-admit them after ``canary_passes`` consecutive clean runs.
 
@@ -39,6 +42,7 @@ counters and incident sequences run after run.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -189,7 +193,11 @@ class GemmCall:
             self.a, self.b, self.c, self.alpha, self.beta,
             self.transa, self.transb,
         )
-        with np.errstate(over="ignore"):  # an overflow is rejected below
+        # Only a cast from another dtype can overflow; the overflow is
+        # rejected below.
+        recast = (a.dtype != dtype or b.dtype != dtype
+                  or (c is not None and c.dtype != dtype))
+        with np.errstate(over="ignore") if recast else nullcontext():
             a = np.asarray(a, dtype=dtype)
             b = np.asarray(b, dtype=dtype)
             c = None if c is None else np.asarray(c, dtype=dtype)
@@ -272,7 +280,9 @@ class GemmService:
         self.obs = obs if obs is not None else NULL_OBS
         self.precision = precision
         self.dtype = np.dtype(np.float32 if precision == "s" else np.float64)
-        self._base_injector = fault_injector
+        #: The fault plan's injector at the current fault clock (see
+        #: :meth:`set_fault_clock`); None without a plan.
+        self.fault_injector = fault_injector
         routine_kwargs.setdefault("measurement_noise", False)
         self.ladder = DegradationLadder(
             devices, precision, params,
@@ -321,6 +331,9 @@ class GemmService:
         #: Small-GEMM throughput ledger (see :class:`BatchingAccount`).
         self.small_gemm = BatchingAccount()
         self._canary_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: The shard fleet (see :meth:`enable_sharding`).
+        self.fleet = None
+        self._sharding = False
 
     def _ensure_breaker(self, device: str) -> None:
         if device not in self.breakers:
@@ -364,9 +377,9 @@ class GemmService:
         return int.from_bytes(digest, "big") / 2**64
 
     def _salted_injector(self, salt: str):
-        if self._base_injector is None:
+        if self.fault_injector is None:
             return None
-        return self._base_injector.salted(salt)
+        return self.fault_injector.salted(salt)
 
     def set_fault_clock(self, now_s: float) -> None:
         """Advance the fault plan's simulated clock.
@@ -377,14 +390,22 @@ class GemmService:
         here on carries the current simulated instant.  A no-op without
         a fault plan or with a plan of purely per-request kinds.
         """
-        if self._base_injector is not None and hasattr(
-                self._base_injector, "at_time"):
-            self._base_injector = self._base_injector.at_time(now_s)
+        if self.fault_injector is not None and hasattr(
+                self.fault_injector, "at_time"):
+            self.fault_injector = self.fault_injector.at_time(now_s)
 
     @property
     def quarantined(self) -> Tuple[str, ...]:
         """Currently quarantined rung keys (e.g. ``("tahiti:tuned",)``)."""
         return tuple(sorted(self._quarantined))
+
+    def predict_s(self, M: int, N: int, K: int) -> float:
+        """The fastest servable rung's predicted service time for one
+        problem: the lower bound the async scheduler prices requests and
+        cancels hopeless deadlines by.  Rungs the static verifier
+        refused are left out; the host rung never is."""
+        return min(rung.predict_s(M, N, K) for rung in self.ladder.rungs
+                   if rung.key not in self._static_rejected)
 
     # -- the request path ----------------------------------------------
     def submit(
@@ -459,6 +480,73 @@ class GemmService:
             rids = [self._tick] * n
         return self._serve(members, rids, deadline_s, arrival_dt_s,
                            batched=True)
+
+    def submit_sharded(
+        self, call: GemmCall, request_id: int,
+        deadline_s: Optional[float] = None,
+    ) -> Tuple[Optional[ServeResult], Optional[float]]:
+        """Serve one NN request split across the shard fleet (see
+        :meth:`enable_sharding`); ``call`` is one ``validate`` returned.
+
+        Devices lost mid-shard feed their circuit breakers, and the
+        combined result is Freivalds-sampled like any device serve.
+        Unlike :meth:`submit_call`, this does not advance the request
+        clock, run canaries or open a trace, and it counts the request
+        only once served.  Returns ``(result, seconds)``.  A None
+        ``result`` means the caller re-serves the request through the
+        ladder; ``seconds`` is then None after a fault the fleet cannot
+        absorb, else the simulated seconds a caught corruption burned.
+        """
+        fleet, rid = self.fleet, request_id
+        injector = self._salted_injector(f"req:{rid}:shard")
+        for routine in fleet.routines.values():
+            routine.context.fault_injector = injector
+        try:
+            md = call_with_timeout(
+                lambda: fleet(call.a, call.b, call.c,
+                              alpha=call.alpha, beta=call.beta),
+                self.config.attempt_timeout_s,
+            )
+        except (CLError, MeasurementTimeout) as exc:
+            self.log.record(
+                rid, "degraded", device="fleet", rung="sharded",
+                detail=(f"{type(exc).__name__}: {exc}; falling back "
+                        f"to the single-device ladder"),
+            )
+            return None, None
+        for device, start, stop in md.lost:
+            self._breaker_failure(device, self._tick, rid, "sharded",
+                                  "device lost mid-shard")
+            self.log.record(
+                rid, "degraded", device=device, rung="sharded",
+                detail=f"device lost; columns {start}:{stop} re-partitioned",
+            )
+        passed = self._freivalds(
+            rid, call, md.c, "fleet", "sharded",
+            note="; re-serving via the single-device ladder",
+        )
+        seconds = md.wall_seconds
+        if passed is False:
+            return None, seconds
+        # Counted only now: the counters are monotonic (the registry
+        # exports them as Prometheus counters), so a fallback must never
+        # have to un-count.
+        self.counters.requests += 1
+        self.counters.admitted += 1
+        self.counters.sharded += 1
+        lost = md.lost_devices
+        self.log.record(
+            rid, "shard",
+            detail=(f"{md.M}x{md.N}x{md.K} over {len(md.shares)} shares "
+                    f"({len(fleet.specs)}-device fleet)"
+                    + (f"; lost {','.join(lost)}" if lost else "")),
+        )
+        deadline = (self.config.default_deadline_s if deadline_s is None
+                    else deadline_s)
+        result = self._account(
+            rid, "sharded", "fleet", md.c, seconds, 0.0, deadline,
+            bool(passed), [("fleet:sharded", f"lost {d}") for d in lost])
+        return result, seconds
 
     def _serve(self, calls, rids, deadline_s, arrival_dt_s,
                batched: bool) -> List[ServeResult]:
@@ -591,41 +679,17 @@ class GemmService:
 
         def finish(i: int, rung: Rung, out, seconds: float,
                    standalone_s: float, verified: bool) -> None:
-            # Gate 5: accounting.
             member = members[i]
-            service_s = spent[i] + seconds
             if (not rung.is_reference
                     and max(member.dims()) <= SMALL_GEMM_DIM):
                 self.small_gemm.add(member.flops, seconds, standalone_s)
-            self.counters.completed += 1
-            self.counters.count_rung(rung.name)
-            if degradations[i]:
-                self.counters.degraded += 1
-            if self._service_hist is not None:
-                self._service_hist.observe(service_s)
-                self._wait_hist.observe(queue_wait)
-            result = ServeResult(
-                c=out, request_id=rids[i], rung=rung.name, device=rung.device,
-                degraded=bool(degradations[i]), verified=verified,
-                service_s=service_s, queue_wait_s=queue_wait,
-                degradations=degradations[i], batch_size=n,
-            )
-            if deadline is not None and queue_wait + service_s > deadline:
-                result.deadline_missed = True
-                self.counters.deadline_missed += 1
-                self.log.record(
-                    rids[i], "deadline_missed", device=rung.device,
-                    rung=rung.name,
-                    detail=(f"served in "
-                            f"{(queue_wait + service_s) * 1e3:.3f} ms against "
-                            f"a {deadline * 1e3:.3f} ms deadline"),
-                    trace_id=self._trace_id,
-                )
+            results[i] = self._account(
+                rids[i], rung.name, rung.device, out, spent[i] + seconds,
+                queue_wait, deadline, verified, degradations[i], n)
             # A batch already charged its members' corrupt attempts to
             # the backlog as they burned; a stand-alone request charges
             # its whole service time once served.
-            self._backlog_s += seconds if batched else service_s
-            results[i] = result
+            self._backlog_s += seconds if batched else results[i].service_s
 
         for rung in self.ladder.rungs:
             if not pending:
@@ -730,6 +794,39 @@ class GemmService:
                 pending = corrupt
         assert not pending, "degradation ladder exhausted with members pending"
         return results
+
+    def _account(self, rid: int, rung: str, device: str, out,
+                 service_s: float, queue_wait: float,
+                 deadline: Optional[float], verified: bool,
+                 degradations: List[Tuple[str, str]],
+                 batch_size: int = 1) -> ServeResult:
+        """Gate 5 for one served request, on the ladder or sharded:
+        count it, observe its latency, record a missed deadline, and
+        return its :class:`ServeResult`."""
+        self.counters.completed += 1
+        self.counters.count_rung(rung)
+        if degradations:
+            self.counters.degraded += 1
+        if self._service_hist is not None:
+            self._service_hist.observe(service_s)
+            self._wait_hist.observe(queue_wait)
+        result = ServeResult(
+            c=out, request_id=rid, rung=rung, device=device,
+            degraded=bool(degradations), verified=verified,
+            service_s=service_s, queue_wait_s=queue_wait,
+            degradations=degradations, batch_size=batch_size,
+        )
+        if deadline is not None and queue_wait + service_s > deadline:
+            result.deadline_missed = True
+            self.counters.deadline_missed += 1
+            self.log.record(
+                rid, "deadline_missed", device=device, rung=rung,
+                detail=(f"served in "
+                        f"{(queue_wait + service_s) * 1e3:.3f} ms against "
+                        f"a {deadline * 1e3:.3f} ms deadline"),
+                trace_id=self._trace_id,
+            )
+        return result
 
     def _launch(self, rung: Rung, members, live, rids, batched: bool):
         """Run the ``live`` members through one device rung, under the
@@ -836,10 +933,11 @@ class GemmService:
         (a provably unsafe swap is refused with
         :class:`~repro.errors.ParameterError` and the old kernel keeps
         serving), then the ``tuned`` rung is rebuilt around the new
-        parameters.  In-flight and queued requests are untouched — only
-        future dispatches see the new kernel — and the rung's
-        quarantine state is reset because it no longer describes the
-        kernel now serving.
+        parameters, and so is the device's shard-fleet member, in its
+        place in the column split.  In-flight and queued requests are
+        untouched — only future dispatches see the new kernel — and the
+        rung's quarantine state is reset because it no longer describes
+        the kernel now serving.
         """
         from repro.analyze.verifier import StaticVerifier
         from repro.errors import ParameterError
@@ -857,6 +955,8 @@ class GemmService:
                 f"hot swap refused: replacement kernel violates {rule}"
             )
         rung = self.ladder.replace_primary(device, params)
+        if self.fleet is not None:
+            self.fleet.replace_device(device, params)
         self._quarantined.pop(rung.key, None)
         self._static_rejected.pop(rung.key, None)
         self.counters.hot_swaps += 1
@@ -868,6 +968,41 @@ class GemmService:
         return rung
 
     # -- fleet membership -----------------------------------------------
+    def enable_sharding(self) -> None:
+        """Hold a shard fleet for :meth:`submit_sharded` from now on:
+        a :class:`~repro.gemm.multidev.MultiDeviceGemm` over the ladder's
+        tuned devices, in ladder order, built once two of them serve and
+        kept in step by the membership methods below."""
+        if not self._sharding:
+            self._sharding = True
+            self._join_fleet()
+
+    def _join_fleet(self, device: Optional[str] = None) -> None:
+        """Keep the shard fleet in step after ``device``'s rungs joined
+        the ladder: append it, as the ladder appends its rungs, or build
+        the fleet once two tuned devices serve."""
+        if not self._sharding:
+            return
+        if self.fleet is not None:
+            tuned = self.ladder.primary_rung(device)
+            self.fleet.admit_device(tuned.spec, tuned.params)
+            return
+        tuned = [rung for rung in self.ladder.rungs if rung.name == "tuned"]
+        if len(tuned) >= 2:
+            from repro.gemm.multidev import MultiDeviceGemm
+
+            self.fleet = MultiDeviceGemm(
+                [rung.spec for rung in tuned], self.precision,
+                {rung.device: rung.params for rung in tuned},
+                obs=self.obs, measurement_noise=False,
+            )
+
+    def _leave_fleet(self, device: str) -> None:
+        """Drop ``device`` from the shard fleet, if it is a member; a
+        fleet left with one device is kept but no longer shards."""
+        if self.fleet is not None and device in self.fleet.routines:
+            self.fleet.retire_device(device)
+
     @property
     def serving_devices(self) -> Tuple[str, ...]:
         """Devices with live rungs on the ladder, in ladder order."""
@@ -902,6 +1037,7 @@ class GemmService:
         self._verify_rung_group(rungs)
         name = rungs[0].device
         self._ensure_breaker(name)
+        self._join_fleet(name)
         self.counters.fleet_admits += 1
         self.log.record(
             request_id, "fleet_admit", device=name,
@@ -923,6 +1059,7 @@ class GemmService:
         if not rungs:
             return
         self._parked[device] = rungs
+        self._leave_fleet(device)
         self.log.record(
             request_id, "fleet_suspend", device=device, detail=reason,
             trace_id=self._trace_id,
@@ -934,6 +1071,7 @@ class GemmService:
         if not rungs:
             return
         self.ladder.insert_device(rungs)
+        self._join_fleet(device)
         self.log.record(
             request_id, "fleet_resume", device=device,
             detail=f"{len(rungs)} rungs restored",
@@ -950,6 +1088,7 @@ class GemmService:
         """
         removed = self.ladder.remove_device(device)
         removed.extend(self._parked.pop(device, []))
+        self._leave_fleet(device)
         for rung in removed:
             self._quarantined.pop(rung.key, None)
             self._static_rejected.pop(rung.key, None)

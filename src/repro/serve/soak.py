@@ -779,7 +779,7 @@ def _episode_recovery(
     back within ``_RECOVERY_FACTOR`` of that (windows with no
     completions are skipped — an outage can stall completions entirely).
     """
-    injector = getattr(service, "_base_injector", None)
+    injector = service.fault_injector
     if injector is None or not hasattr(injector, "active_windows"):
         return []
     from repro.devices.catalog import DEVICE_ZONES

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -226,19 +226,13 @@ def evaluate_candidate(
     return run_attempts(task, attempt, config)
 
 
-def _evaluate_star(args) -> EvalOutcome:
-    """Top-level adapter so process pools can pickle the work item."""
-    return evaluate_candidate(*args)
-
-
 class CandidateEvaluator:
     """Evaluates task batches serially or over a worker pool.
 
     ``workers == 1`` evaluates inline (no pool, no overhead); ``workers
-    > 1`` fans out over a thread pool (default) or, with
-    ``kind="process"``, a process pool.  Either way
-    :meth:`evaluate` returns outcomes in task order, which is what makes
-    parallel searches reproduce serial ones exactly.
+    > 1`` fans out over a thread pool.  Either way :meth:`evaluate`
+    returns outcomes in task order, which is what makes parallel
+    searches reproduce serial ones exactly.
     """
 
     def __init__(
@@ -246,23 +240,19 @@ class CandidateEvaluator:
         spec: DeviceSpec,
         noise: bool = True,
         workers: int = 1,
-        kind: str = "thread",
         injector=None,
         resilience: Optional[ResilienceConfig] = None,
     ):
-        if kind not in ("thread", "process"):
-            raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
         self.spec = spec
         self.noise = noise
         self.workers = max(1, int(workers))
-        self.kind = kind
         #: Optional :class:`repro.clsim.faults.FaultInjector` and the
         #: resilience config that absorbs it (see
-        #: :func:`evaluate_candidate`).  Both objects are immutable and
-        #: picklable, so process pools agree with the parent.
+        #: :func:`evaluate_candidate`).  Both objects are immutable, so
+        #: every worker thread decides faults alike.
         self.injector = injector
         self.resilience = resilience
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         # Guards lazy pool creation/teardown: evaluate() may be called
         # from a fleet worker thread while another thread closes the
         # evaluator (chaos soak churn), and an unguarded check-then-set
@@ -270,15 +260,12 @@ class CandidateEvaluator:
         self._pool_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                if self.kind == "process":
-                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                else:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers, thread_name_prefix="repro-tune"
-                    )
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.workers, thread_name_prefix="repro-tune"
+                )
             return self._pool
 
     def close(self) -> None:
@@ -309,7 +296,7 @@ class CandidateEvaluator:
             return []
         unique: dict = {}
         slots: List[int] = []  # per-task index into work
-        work: List[tuple] = []  # _evaluate_star arguments per unique task
+        work: List[tuple] = []  # evaluate_candidate arguments per unique task
         for t in tasks:
             key = (t.params.cache_key(), t.shape)
             if key not in unique:
@@ -318,9 +305,10 @@ class CandidateEvaluator:
                              self.resilience))
             slots.append(unique[key])
         if self.workers == 1 or len(work) == 1:
-            results = [_evaluate_star(w) for w in work]
+            results = [evaluate_candidate(*w) for w in work]
         else:
             # Executor.map preserves input order regardless of completion
             # order.
-            results = list(self._ensure_pool().map(_evaluate_star, work))
+            results = list(self._ensure_pool().map(
+                lambda w: evaluate_candidate(*w), work))
         return [results[i] for i in slots]

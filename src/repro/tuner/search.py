@@ -302,10 +302,10 @@ class SearchEngine:
     ``cache``
         A :class:`MeasurementCache` consulted before every evaluation
         and updated after every fresh one.
-    ``workers`` / ``executor_kind``
-        Fan candidate batches out over this many workers (``"thread"``
-        or ``"process"`` pools); results keep enumeration order, so the
-        selected winner is independent of the worker count.
+    ``workers``
+        Fan candidate batches out over this many worker threads;
+        results keep enumeration order, so the selected winner is
+        independent of the worker count.
     ``checkpoint_path`` / ``checkpoint_every`` / ``resume``
         Write progress checkpoints at least every ``checkpoint_every``
         stage-1 candidates (and per stage-2 finalist); with ``resume``,
@@ -331,7 +331,6 @@ class SearchEngine:
         *,
         cache: Optional[MeasurementCache] = None,
         workers: int = 1,
-        executor_kind: str = "thread",
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 500,
         resume: bool = False,
@@ -376,7 +375,6 @@ class SearchEngine:
             self.spec,
             noise=self.config.measurement_noise,
             workers=self.workers,
-            kind=executor_kind,
             injector=injector,
             resilience=self.resilience,
         )

@@ -84,28 +84,28 @@ class TestTunedGemmFallback:
         )
 
 
-class TestFleetDeviceLossHook:
-    def test_on_device_lost_feeds_the_observer(self, rng):
+class TestFleetDeviceLossRanges:
+    def test_result_carries_the_lost_ranges(self, rng):
         plan = FaultPlan(
             seed=11,
             rules=(FaultRule(kind="device_lost", rate=1.0, device="cayman"),),
         )
-        lost = []
         fleet = MultiDeviceGemm(
             ["tahiti", "cayman"], "d",
             fault_injector=FaultInjector(plan),
-            on_device_lost=lambda device, start, stop: lost.append(
-                (device, start, stop)
-            ),
             measurement_noise=False,
         )
         a = rng.standard_normal((64, 48))
         b = rng.standard_normal((48, 96))
         result = fleet(a, b)
         assert result.lost_devices == ("cayman",)
-        assert len(lost) == 1
-        device, start, stop = lost[0]
+        ((device, start, stop),) = result.lost
         assert device == "cayman"
+        # The lost range is the one the first partition gave cayman.
+        assert (device, start, stop) == fleet.partition(96)[1]
         assert 0 <= start < stop <= 96
+        # Its columns were re-run on the survivor.
+        assert [s.device for s in result.shares] == ["tahiti", "tahiti"]
+        assert result.shares[-1].columns == (start, stop)
         expected = reference_gemm("N", "N", 1.0, a, b, 0.0)
         assert relative_error(result.c, expected) < 1e-12

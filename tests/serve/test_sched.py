@@ -7,7 +7,9 @@ import pytest
 
 from repro.clsim.faults import CANNED_PLANS, FaultInjector
 from repro.errors import AdmissionError, InvalidRequestError, ReproError
+from repro.gemm.multidev import MultiDeviceGemm
 from repro.gemm.routine import GemmRoutine
+from repro.obs import Observability
 from repro.serve import GemmService, ServiceConfig
 from repro.serve.breaker import BreakerState
 from repro.serve.sched import (
@@ -325,11 +327,76 @@ class TestSharding:
     def test_single_device_service_never_shards(self, rng):
         service = small_service()
         sched = AsyncScheduler(service, [TenantConfig("t")])
-        assert sched.fleet is None
+        assert service.fleet is None
         a = rng.standard_normal((320, 320))
         ticket = sched.submit("t", a, a, arrival_s=0.0)
         sched.pump()
         assert not ticket.sharded
+
+    def test_hot_swap_reaches_the_shard_fleet(self, rng):
+        service = GemmService(["tahiti", "cypress"], "d")
+        sched = AsyncScheduler(service, [TenantConfig("t")])
+        shipped = service.ladder.primary_rung("tahiti").params
+        swapped = make_params(mwg=32, nwg=32, mdimc=8, ndimc=8)
+        assert swapped != shipped
+        before = [s.codename for s in service.fleet.specs]
+        sched.request_hot_swap("tahiti", swapped)
+        a = rng.standard_normal((320, 64))
+        b = rng.standard_normal((64, 320))
+        ticket = sched.submit("t", a, b, arrival_s=0.0)
+        sched.pump()
+        assert ticket.sharded
+        assert service.fleet.routines["tahiti"].params == swapped
+        assert [s.codename for s in service.fleet.specs] == before
+        # The tahiti share ran the swapped kernel: the sharded time is
+        # the time of a fleet built around it, not of the shipped one.
+        fresh = {
+            p: MultiDeviceGemm(before, "d", {"tahiti": p},
+                               measurement_noise=False)(a, b).wall_seconds
+            for p in (shipped, swapped)
+        }
+        assert fresh[shipped] != fresh[swapped]
+        assert ticket.result.service_s == fresh[swapped]
+
+    def test_sharded_requests_reach_the_latency_histograms(self, rng):
+        service = GemmService(["tahiti", "cypress"], "d",
+                              obs=Observability(seed=0))
+        sched = AsyncScheduler(service, [TenantConfig("t")])
+        big = rng.standard_normal((320, 320))
+        small = rng.standard_normal((48, 48))
+        tickets = [sched.submit("t", big, big, arrival_s=0.0)
+                   for _ in range(3)]
+        tickets.append(sched.submit("t", small, small, arrival_s=0.0))
+        sched.pump()
+        assert [t.sharded for t in tickets] == [True, True, True, False]
+        completed = service.counters.completed
+        assert completed == 4
+        for name in ("serve_service_seconds", "serve_queue_wait_seconds"):
+            assert service.obs.metrics.get(name).count == completed
+        assert service.obs.metrics.get("serve_service_seconds").sum == sum(
+            t.result.service_s for t in tickets)
+
+    def test_membership_changes_reach_the_shard_fleet(self):
+        service = GemmService(["tahiti", "cypress", "cayman"], "d")
+        AsyncScheduler(service, [TenantConfig("t")])
+
+        def members():
+            return [s.codename for s in service.fleet.specs]
+
+        assert members() == ["tahiti", "cypress", "cayman"]
+        service.suspend_device("tahiti")
+        assert members() == ["cypress", "cayman"]
+        # A resumed device rejoins in ladder order: after the incumbents.
+        service.resume_device("tahiti")
+        assert members() == list(service.serving_devices)
+        assert members() == ["cypress", "cayman", "tahiti"]
+        service.suspend_device("cayman")
+        service.retire_device("cayman")
+        service.retire_device("cypress")
+        assert members() == ["tahiti"]
+        service.admit_device("cypress")
+        assert members() == ["tahiti", "cypress"]
+        assert members() == list(service.serving_devices)
 
 
 class TestHotSwap:

@@ -203,7 +203,7 @@ class TestBreakers:
         a, b = problem
         serve(service, a, b)  # trips at the second rung failure
         assert service.breakers["tahiti"].state is BreakerState.OPEN
-        service._base_injector = None  # the fault storm ends
+        service.fault_injector = None  # the fault storm ends
         while service.breakers["tahiti"].state is not BreakerState.CLOSED:
             results = serve(service, a, b)
         assert {r.rung for r in results} == {"tuned"}
@@ -236,7 +236,7 @@ class TestQuarantineLifecycle:
 
         # The corruption clears; canaries at ticks 10 and 20 must each
         # pass before the kernels are trusted again (canary_passes=2).
-        service._base_injector = None
+        service.fault_injector = None
         for _ in range(service._tick, 19):
             assert service.submit(a, b).rung == "reference"
         result = service.submit(a, b)  # tick 20: canaries re-admit first

@@ -38,10 +38,6 @@ class TestEvaluator:
         assert outcome.failure == "launch"
         assert outcome.gflops is None
 
-    def test_rejects_unknown_pool_kind(self, tahiti):
-        with pytest.raises(ValueError, match="thread.*process"):
-            CandidateEvaluator(tahiti, kind="fleet")
-
     def test_pool_survives_close_and_reuse(self, tahiti):
         engine = SearchEngine(tahiti, "d", QUICK)
         tasks = _tasks(engine, n=8)
