@@ -337,11 +337,11 @@ CANNED_PLANS: Dict[str, FaultPlan] = {
 class FaultInjector:
     """Turns a :class:`FaultPlan` into deterministic fault decisions.
 
-    Stateless and picklable: process-pool workers carry their own copy
-    and still agree with the parent on every decision.  ``salt`` is
-    folded into each decision hash — retry loops that re-run a whole
-    phase (e.g. finalist verification) use :meth:`salted` so a persistent
-    retry does not deterministically replay the identical fault.
+    Stateless, so threads that share one injector, or copies of it,
+    agree on every decision.  ``salt`` is folded into each decision
+    hash — retry loops that re-run a whole phase (e.g. finalist
+    verification) use :meth:`salted` so a persistent retry does not
+    deterministically replay the identical fault.
 
     ``now_s`` is the injector's view of the simulated clock, advanced by
     :meth:`at_time`; only the window kinds (``zone_outage``,

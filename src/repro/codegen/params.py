@@ -165,7 +165,8 @@ class KernelParams(Derived):
             object.__setattr__(self, "ndimb", 0)
 
     def __getstate__(self) -> Dict[str, object]:
-        # A process-pool worker proves the device fit again on its own spec.
+        # The device fit is reused only for the identical spec object,
+        # which an unpickled copy never holds.
         state = dict(self.__dict__)
         state.pop(FIT_SLOT, None)
         return state

@@ -7,6 +7,13 @@ combinations, attaches a deterministic heuristic sample of the secondary
 parameters (vector width, stride, local-memory usage, layouts, algorithm)
 to each, and yields only structurally valid :class:`KernelParams`.
 
+It is also the one place that knows the space's values and what a
+restriction admits: :data:`STEP_POOLS` and the option tuples beside it
+are the pools the enumerator samples, the strategies' encoded space
+(:mod:`repro.tuner.strategies.encoding`) indexes and the refiner
+(:mod:`repro.tuner.refine`) steps through, and
+:meth:`SpaceRestrictions.admits` is the one membership test.
+
 :class:`SpaceRestrictions` can shrink the space to the *previous*
 generator of reference [13] (power-of-two blocking only, no staging
 reshape, no dual local staging, BA only) for the ablation experiment that
@@ -19,19 +26,68 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
 from repro.codegen.params import Draft, KernelParams, StrideMode
 from repro.codegen.rules import (
-    BLOCKING_DIVISIBILITY, STAGING_A, STAGING_B, VECTOR_ALIGNMENT,
+    BLOCKING_DIVISIBILITY, STAGING_A, STAGING_B, VALID_VECTOR_WIDTHS, VECTOR_ALIGNMENT,
 )
 from repro.devices.specs import DeviceSpec, LocalMemType
 from repro.errors import ParameterError
 
-__all__ = ["SpaceRestrictions", "enumerate_space", "space_size_estimate", "seed_candidates"]
+__all__ = [
+    "STEP_POOLS", "STAGING_WIDTHS", "STRIDES", "SHARED_OPTIONS", "LAYOUT_PAIRS",
+    "SpaceRestrictions", "enumerate_space", "space_size_estimate", "seed_candidates",
+]
+
+
+#: The Section-III parameter values, each declared once.  The non-power-
+#: of-two entries (48, 96, 24, ...) exist because the improved generator
+#: lifted the power-of-two limitation (Section III-F) and the paper's
+#: best kernels use them (Table II).  The enumerator, the strategies'
+#: encoded space and the refiner's one-step moves all walk these pools.
+STEP_POOLS: Mapping[str, Tuple[int, ...]] = MappingProxyType({
+    "mwg": (16, 24, 32, 48, 64, 96, 128),
+    "nwg": (16, 24, 32, 48, 64, 96, 128),
+    "kwg": (8, 16, 24, 32, 48, 64, 96, 192),
+    "mdimc": (4, 8, 16, 24, 32),
+    "ndimc": (4, 8, 16, 24, 32),
+    "kwi": (1, 2, 4, 8, 16, 24),
+    "vw": VALID_VECTOR_WIDTHS,
+})
+#: ``MdimA``/``NdimB`` reshape widths tried beside the default
+#: ``MdimC``/``NdimC``.  All are powers of two.
+STAGING_WIDTHS = (8, 16, 32, 64)
+#: The categorical options, in the order the enumerator's RNG samples
+#: their product.  No restriction narrows the strides.
+STRIDES = (
+    StrideMode(False, False),
+    StrideMode(True, False),
+    StrideMode(False, True),
+    StrideMode(True, True),
+)
+SHARED_OPTIONS = ((False, False), (False, True), (True, False), (True, True))
+LAYOUT_PAIRS = (
+    (Layout.ROW, Layout.ROW),
+    (Layout.CBL, Layout.CBL),
+    (Layout.RBL, Layout.RBL),
+    (Layout.CBL, Layout.RBL),
+    (Layout.RBL, Layout.CBL),
+)
+
+
+def _is_pow2(value: int) -> bool:
+    return value & (value - 1) == 0
+
+
+def _flag_options(allow: bool, forced: Optional[bool]) -> Tuple[bool, ...]:
+    if forced is not None:
+        return (forced,)
+    return (False, True) if allow else (False,)
 
 
 @dataclass(frozen=True)
@@ -42,9 +98,6 @@ class SpaceRestrictions:
     algorithms: Tuple[Algorithm, ...] = (Algorithm.BA, Algorithm.PL, Algorithm.DB)
     allow_dual_shared: bool = True
     allow_staging_reshape: bool = True
-    layouts: Tuple[Layout, ...] = (Layout.ROW, Layout.CBL, Layout.RBL)
-    vector_widths: Tuple[int, ...] = (1, 2, 4, 8)
-    allow_nonunit_stride: bool = True
     forced_shared: Optional[Tuple[bool, bool]] = None
     forced_algorithm: Optional[Algorithm] = None
     forced_layouts: Optional[Tuple[Layout, Layout]] = None
@@ -73,39 +126,66 @@ class SpaceRestrictions:
             allow_staging_reshape=False,
         )
 
+    def pools(self) -> Mapping[str, Tuple[int, ...]]:
+        """:data:`STEP_POOLS`, power-of-two values only when so restricted."""
+        if not self.power_of_two_only:
+            return STEP_POOLS
+        return {name: tuple(v for v in pool if _is_pow2(v))
+                for name, pool in STEP_POOLS.items()}
 
-# Candidate pools.  The non-power-of-two entries (48, 96, 24, ...) exist
-# because the improved generator lifted the power-of-two limitation
-# (Section III-F) and the paper's best kernels use them (Table II).
-_MWG_NWG = (16, 32, 48, 64, 96, 128)
-_KWG = (8, 16, 32, 48, 64, 96, 192)
-_DIMC = (4, 8, 16, 24, 32)
-_KWI = (1, 2, 4, 8, 16, 24)
-_POW2_MWG_NWG = (16, 32, 64, 128)
-_POW2_KWG = (8, 16, 32, 64)
-_POW2_DIMC = (4, 8, 16, 32)
-_POW2_KWI = (1, 2, 4, 8, 16)
+    def staging_widths(self) -> Tuple[int, ...]:
+        return STAGING_WIDTHS if self.allow_staging_reshape else ()
 
-_SHARED_OPTIONS = ((False, False), (False, True), (True, False), (True, True))
-_LAYOUT_PAIRS = (
-    (Layout.ROW, Layout.ROW),
-    (Layout.CBL, Layout.CBL),
-    (Layout.RBL, Layout.RBL),
-    (Layout.CBL, Layout.RBL),
-    (Layout.RBL, Layout.CBL),
-)
-_STRIDES = (
-    StrideMode(False, False),
-    StrideMode(True, False),
-    StrideMode(False, True),
-    StrideMode(True, True),
-)
+    def shared_options(self) -> Tuple[Tuple[bool, bool], ...]:
+        if self.forced_shared is not None:
+            return (self.forced_shared,)
+        return tuple(s for s in SHARED_OPTIONS
+                     if self.allow_dual_shared or not (s[0] and s[1]))
+
+    def layout_options(self) -> Tuple[Tuple[Layout, Layout], ...]:
+        if self.forced_layouts is not None:
+            return (self.forced_layouts,)
+        return LAYOUT_PAIRS
+
+    def algorithm_options(self) -> Tuple[Algorithm, ...]:
+        if self.forced_algorithm is not None:
+            return (self.forced_algorithm,)
+        return tuple(self.algorithms)
+
+    def admits(self, params: KernelParams) -> bool:
+        """Whether a kernel lies inside this (possibly restricted) space:
+        the filter for curated seeds, refinement neighbours and the
+        strategies' decoded points."""
+        if self.power_of_two_only and not all(map(_is_pow2, (
+            params.mwg, params.nwg, params.kwg,
+            params.mdimc, params.ndimc, params.kwi,
+        ))):
+            return False
+        if (params.algorithm not in self.algorithms
+                or params.algorithm not in self.algorithm_options()):
+            return False
+        if (params.shared_a, params.shared_b) not in self.shared_options():
+            return False
+        if not self.allow_staging_reshape and (
+            params.mdima not in (0, params.mdimc) or params.ndimb not in (0, params.ndimc)
+        ):
+            return False
+        if (self.forced_layouts is not None
+                and (params.layout_a, params.layout_b) != self.forced_layouts):
+            return False
+        return (params.use_images in _flag_options(self.allow_images, self.forced_images)
+                and params.guard_edges in _flag_options(
+                    self.allow_guarded, self.forced_guarded))
 
 
-def _blocking_pools(restrictions: SpaceRestrictions):
-    if restrictions.power_of_two_only:
-        return _POW2_MWG_NWG, _POW2_KWG, _POW2_DIMC, _POW2_KWI
-    return _MWG_NWG, _KWG, _DIMC, _KWI
+def _blocking_pools(restrictions: SpaceRestrictions) -> List[Tuple[int, ...]]:
+    """The enumerator's ``mwg nwg kwg mdimc ndimc kwi`` pools: the step
+    pools less tile size 24, which only the refiner's one-step moves and
+    the encoded strategies reach."""
+    pools = dict(restrictions.pools())
+    for name in ("mwg", "nwg", "kwg"):
+        pools[name] = tuple(v for v in pools[name] if v != 24)
+    return [pools[name] for name in ("mwg", "nwg", "kwg", "mdimc", "ndimc", "kwi")]
 
 
 def _blocking_ok(device: DeviceSpec, blocking: Draft) -> bool:
@@ -132,40 +212,15 @@ def _blocking_ok(device: DeviceSpec, blocking: Draft) -> bool:
     return True
 
 
-def _secondary_options(
-    device: DeviceSpec, restrictions: SpaceRestrictions
-) -> List[Tuple]:
-    """All (vw, stride, shared, layouts, algorithm) combinations allowed."""
-    strides = [s for s in _STRIDES
-               if restrictions.allow_nonunit_stride or not (s.m or s.n)]
-    shared_opts = [
-        s for s in _SHARED_OPTIONS
-        if restrictions.allow_dual_shared or not (s[0] and s[1])
-    ]
-    if restrictions.forced_shared is not None:
-        shared_opts = [restrictions.forced_shared]
-    layout_pairs = list(
-        lp for lp in _LAYOUT_PAIRS
-        if lp[0] in restrictions.layouts and lp[1] in restrictions.layouts
-    )
-    if restrictions.forced_layouts is not None:
-        layout_pairs = [restrictions.forced_layouts]
-    algorithms = list(restrictions.algorithms)
-    if restrictions.forced_algorithm is not None:
-        algorithms = [restrictions.forced_algorithm]
-    image_opts = [False]
-    if restrictions.allow_images:
-        image_opts = [False, True]
-    if restrictions.forced_images is not None:
-        image_opts = [restrictions.forced_images]
-    guard_opts = [False]
-    if restrictions.allow_guarded:
-        guard_opts = [False, True]
-    if restrictions.forced_guarded is not None:
-        guard_opts = [restrictions.forced_guarded]
+def _secondary_options(restrictions: SpaceRestrictions) -> List[Tuple]:
+    """All (vw, stride, shared, layouts, algorithm, images, guard)
+    combinations allowed."""
+    image_opts = _flag_options(restrictions.allow_images, restrictions.forced_images)
+    guard_opts = _flag_options(restrictions.allow_guarded, restrictions.forced_guarded)
     out = []
     for vw, stride, shared, layouts, alg in itertools.product(
-        restrictions.vector_widths, strides, shared_opts, layout_pairs, algorithms
+        restrictions.pools()["vw"], STRIDES, restrictions.shared_options(),
+        restrictions.layout_options(), restrictions.algorithm_options(),
     ):
         for use_images in image_opts:
             if use_images and layouts != (Layout.ROW, Layout.ROW):
@@ -177,7 +232,7 @@ def _secondary_options(
     return out
 
 
-def _staging_widths(blocking: Draft, side: str, allow_reshape: bool) -> List[int]:
+def _staging_widths(blocking: Draft, side: str, widths: Tuple[int, ...]) -> List[int]:
     """Valid ``MdimA`` (side ``"a"``) or ``NdimB`` (side ``"b"``) values
     for one blocking: the widths no staging rule of that side breaks."""
     name, rules, default = (
@@ -185,53 +240,13 @@ def _staging_widths(blocking: Draft, side: str, allow_reshape: bool) -> List[int
         else ("ndimb", STAGING_B, blocking.ndimc)
     )
     out: List[int] = []
-    for cand in (default, 8, 16, 32, 64) if allow_reshape else (default,):
+    for cand in (default,) + widths:
         if cand in out:
             continue
         setattr(blocking, name, cand)
         if not any(rule.broken(blocking) for rule in rules):
             out.append(cand)
     return out
-
-
-def _seed_admissible(params: KernelParams, r: SpaceRestrictions) -> bool:
-    """Whether a curated seed lies inside a (possibly restricted) space."""
-    if r.power_of_two_only:
-        values = (params.mwg, params.nwg, params.kwg, params.mdimc,
-                  params.ndimc, params.kwi)
-        if any(v & (v - 1) for v in values):
-            return False
-    if params.algorithm not in r.algorithms:
-        return False
-    if r.forced_algorithm is not None and params.algorithm is not r.forced_algorithm:
-        return False
-    if params.vw not in r.vector_widths:
-        return False
-    if not r.allow_dual_shared and params.shared_a and params.shared_b:
-        return False
-    if not r.allow_staging_reshape and (
-        params.mdima not in (0, params.mdimc) or params.ndimb not in (0, params.ndimc)
-    ):
-        return False
-    if r.forced_shared is not None and (params.shared_a, params.shared_b) != r.forced_shared:
-        return False
-    if r.forced_layouts is not None and (params.layout_a, params.layout_b) != r.forced_layouts:
-        return False
-    if params.layout_a not in r.layouts or params.layout_b not in r.layouts:
-        return False
-    if not r.allow_nonunit_stride and (params.stride.m or params.stride.n):
-        return False
-    images_allowed = r.allow_images or r.forced_images is True
-    if params.use_images and not images_allowed:
-        return False
-    if r.forced_images is not None and params.use_images is not r.forced_images:
-        return False
-    guards_allowed = r.allow_guarded or r.forced_guarded is True
-    if params.guard_edges and not guards_allowed:
-        return False
-    if r.forced_guarded is not None and params.guard_edges is not r.forced_guarded:
-        return False
-    return True
 
 
 def _combo_digest(*parts) -> int:
@@ -258,8 +273,8 @@ def enumerate_space(
     False.
     """
     restrictions = restrictions or SpaceRestrictions()
-    pool_mn, pool_k, pool_dim, pool_kwi = _blocking_pools(restrictions)
-    secondary = _secondary_options(device, restrictions)
+    pools = _blocking_pools(restrictions)
+    secondary = _secondary_options(restrictions)
     emitted = 0
     seen = set()
     # One draft, re-pointed at each blocking, is what the rules tested
@@ -275,7 +290,7 @@ def enumerate_space(
                blocking.kwg, blocking.mdimc, blocking.ndimc)
         if key not in staging:
             staging[key] = _staging_widths(
-                blocking, side, restrictions.allow_staging_reshape
+                blocking, side, restrictions.staging_widths()
             )
         return staging[key]
 
@@ -290,7 +305,7 @@ def enumerate_space(
 
     if include_seeds:
         for params in seed_candidates(device, precision):
-            if not _seed_admissible(params, restrictions):
+            if not restrictions.admits(params):
                 continue
             out = _yield(params)
             if out is not None:
@@ -298,9 +313,7 @@ def enumerate_space(
             if limit is not None and emitted >= limit:
                 return
 
-    for combo in itertools.product(
-        pool_mn, pool_mn, pool_k, pool_dim, pool_dim, pool_kwi
-    ):
+    for combo in itertools.product(*pools):
         mwg, nwg, kwg, mdimc, ndimc, kwi = combo
         (blocking.mwg, blocking.nwg, blocking.kwg,
          blocking.mdimc, blocking.ndimc, blocking.kwi) = combo

@@ -298,15 +298,14 @@ class FleetManager:
                 break
             with self.obs.span("fleet.scale", direction="grow",
                                device=device):
-                rungs = self.service.admit_device(device)
+                # Warming: parked off the ladder, canary traffic only.
+                rungs = self.service.admit_parked(device)
                 if not rungs:
                     # Nothing tuned after all: drop it from the pool.
                     self._candidates = [
                         c for c in self._candidates if c != device
                     ]
                     continue
-                # Warming: parked off the ladder, canary traffic only.
-                self.service.suspend_device(device, reason="warming")
                 lifecycle = self.lifecycles.get(device)
                 if lifecycle is None:
                     lifecycle = DeviceLifecycle(

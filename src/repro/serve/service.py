@@ -1026,6 +1026,25 @@ class GemmService:
         it.  Returns the new rungs — empty when the device has nothing
         tuned at this precision, in which case nothing is admitted.
         """
+        rungs = self._add_device(device, params, request_id)
+        if rungs:
+            self._join_fleet(rungs[0].device)
+        return rungs
+
+    def admit_parked(self, device, request_id: int = -1):
+        """Admit a device straight into the parked set, warming.
+
+        The rungs are built and verified as :meth:`admit_device` builds
+        them and parked as ``suspend_device(reason="warming")`` parks
+        them, with both records; the shard fleet gains the device only
+        when :meth:`resume_device` puts it on the ladder.
+        """
+        rungs = self._add_device(device, None, request_id)
+        if rungs:
+            self.suspend_device(rungs[0].device, request_id, reason="warming")
+        return rungs
+
+    def _add_device(self, device, params, request_id: int):
         rungs = self.ladder.add_device(device, params)
         if not rungs:
             self.log.record(
@@ -1037,7 +1056,6 @@ class GemmService:
         self._verify_rung_group(rungs)
         name = rungs[0].device
         self._ensure_breaker(name)
-        self._join_fleet(name)
         self.counters.fleet_admits += 1
         self.log.record(
             request_id, "fleet_admit", device=name,

@@ -16,21 +16,13 @@ from typing import Iterator, List
 from repro.codegen.algorithms import Algorithm
 from repro.codegen.layouts import Layout
 from repro.codegen.params import KernelParams, StrideMode
-from repro.codegen.space import _SHARED_OPTIONS  # shared candidate pool
-from repro.codegen.space import SpaceRestrictions, _seed_admissible
+from repro.codegen.space import (
+    SHARED_OPTIONS, STAGING_WIDTHS, STEP_POOLS, SpaceRestrictions,
+)
 from repro.devices.specs import DeviceSpec
 from repro.errors import ParameterError
 
 __all__ = ["neighbors", "admissible_neighbors"]
-
-_BLOCK_STEPS = {
-    "mwg": (16, 24, 32, 48, 64, 96, 128),
-    "nwg": (16, 24, 32, 48, 64, 96, 128),
-    "kwg": (8, 16, 24, 32, 48, 64, 96, 192),
-    "mdimc": (4, 8, 16, 24, 32),
-    "ndimc": (4, 8, 16, 24, 32),
-    "kwi": (1, 2, 4, 8, 16, 24),
-}
 
 
 def _adjacent(pool, value) -> List[int]:
@@ -62,7 +54,7 @@ def admissible_neighbors(
     return [
         candidate
         for candidate in neighbors(params, device)
-        if _seed_admissible(candidate, restrictions)
+        if restrictions.admits(candidate)
     ]
 
 
@@ -87,30 +79,27 @@ def neighbors(params: KernelParams, device: DeviceSpec) -> Iterator[KernelParams
         seen.add(candidate.cache_key())
         yield candidate
 
-    # Blocking factors and work-group shape: one step along each axis.
-    for name, pool in _BLOCK_STEPS.items():
+    # Blocking factors, work-group shape and vector width: one step
+    # along each axis.
+    for name, pool in STEP_POOLS.items():
         for value in _adjacent(pool, getattr(params, name)):
             yield from attempt(**{name: value})
-
-    # Vector width: neighbouring powers of two.
-    for vw in _adjacent((1, 2, 4, 8), params.vw):
-        yield from attempt(vw=vw)
 
     # Stride toggles.
     yield from attempt(stride=StrideMode(m=not params.stride.m, n=params.stride.n))
     yield from attempt(stride=StrideMode(m=params.stride.m, n=not params.stride.n))
 
     # Local-memory staging combinations.
-    for sha, shb in _SHARED_OPTIONS:
+    for sha, shb in SHARED_OPTIONS:
         if (sha, shb) != (params.shared_a, params.shared_b):
             yield from attempt(shared_a=sha, shared_b=shb, mdima=0, ndimb=0)
 
     # Staging reshape widths.
     if params.shared_a:
-        for mdima in (8, 16, 32, 64):
+        for mdima in STAGING_WIDTHS:
             yield from attempt(mdima=mdima)
     if params.shared_b:
-        for ndimb in (8, 16, 32, 64):
+        for ndimb in STAGING_WIDTHS:
             yield from attempt(ndimb=ndimb)
 
     # Layouts (only for buffer kernels; image kernels are pinned to ROW).

@@ -25,8 +25,7 @@ Determinism is part of the contract: a strategy's proposal sequence must
 be a pure function of ``(seed, the observations told so far)``.  The
 engine evaluates batches in proposal order regardless of worker count,
 so every strategy inherits the pipeline's bit-determinism guarantee —
-the same seed selects the same winner serially, in a thread pool, or in
-a process pool.
+the same seed selects the same winner serially or in a thread pool.
 
 ``state_dict``/``load_state_dict`` round-trip the complete internal
 state (RNG included) through JSON so a checkpointed search resumes

@@ -9,8 +9,8 @@ constraints reject the combination — the same "failed in code
 generation" class the enumerative search discards), and the surrogate
 derives its numeric feature vector from the same axes.
 
-The pools mirror the enumerator's (:mod:`repro.codegen.space`) plus the
-refinement steps (:mod:`repro.tuner.refine`), restricted by the active
+The pools are the value table of :mod:`repro.codegen.space`, which the
+enumerator and the refiner read too, restricted by the active
 :class:`SpaceRestrictions` so ablation searches cannot escape their
 ablated space through a clever strategy.
 """
@@ -21,41 +21,12 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.layouts import Layout
-from repro.codegen.params import KernelParams, StrideMode
-from repro.codegen.space import (
-    SpaceRestrictions,
-    _seed_admissible,
-)
+from repro.codegen.params import KernelParams
+from repro.codegen.space import STEP_POOLS, STRIDES, SpaceRestrictions
 from repro.devices.specs import DeviceSpec
 from repro.errors import ParameterError
 
 __all__ = ["ParamSpace", "FEATURE_FAMILIES"]
-
-_MWG_NWG = (16, 24, 32, 48, 64, 96, 128)
-_KWG = (8, 16, 24, 32, 48, 64, 96, 192)
-_DIMC = (4, 8, 16, 24, 32)
-_KWI = (1, 2, 4, 8, 16, 24)
-_VW = (1, 2, 4, 8)
-_STAGING = (0, 8, 16, 32, 64)
-
-_STRIDES = (
-    StrideMode(False, False),
-    StrideMode(True, False),
-    StrideMode(False, True),
-    StrideMode(True, True),
-)
-_SHARED = ((False, False), (False, True), (True, False), (True, True))
-_LAYOUT_PAIRS = (
-    (Layout.ROW, Layout.ROW),
-    (Layout.CBL, Layout.CBL),
-    (Layout.RBL, Layout.RBL),
-    (Layout.CBL, Layout.RBL),
-    (Layout.RBL, Layout.CBL),
-)
-
-
-def _pow2(values: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(v for v in values if v == 0 or (v & (v - 1)) == 0)
 
 
 #: Maps surrogate feature names to the report families of
@@ -111,33 +82,8 @@ class ParamSpace:
         self.restrictions = restrictions or SpaceRestrictions()
         r = self.restrictions
 
-        mwg_pool, kwg_pool, dimc_pool, kwi_pool = _MWG_NWG, _KWG, _DIMC, _KWI
-        staging_pool = _STAGING
-        if r.power_of_two_only:
-            mwg_pool, kwg_pool = _pow2(mwg_pool), _pow2(kwg_pool)
-            dimc_pool, kwi_pool = _pow2(dimc_pool), _pow2(kwi_pool)
-            staging_pool = _pow2(staging_pool)
-        if not r.allow_staging_reshape:
-            staging_pool = (0,)
-
-        strides = tuple(
-            s for s in _STRIDES if r.allow_nonunit_stride or not (s.m or s.n)
-        )
-        shared = tuple(
-            s for s in _SHARED if r.allow_dual_shared or not (s[0] and s[1])
-        )
-        if r.forced_shared is not None:
-            shared = (r.forced_shared,)
-        layouts = tuple(
-            lp for lp in _LAYOUT_PAIRS
-            if lp[0] in r.layouts and lp[1] in r.layouts
-        )
-        if r.forced_layouts is not None:
-            layouts = (r.forced_layouts,)
-        algorithms = tuple(r.algorithms)
-        if r.forced_algorithm is not None:
-            algorithms = (r.forced_algorithm,)
-
+        staging = (0,) + r.staging_widths()
+        layouts = r.layout_options()
         self.use_images = bool(r.forced_images)
         self.guard_edges = bool(r.forced_guarded)
         if self.use_images or self.guard_edges:
@@ -146,25 +92,16 @@ class ParamSpace:
         #: ``(name, value pool)`` in canonical order.  Numeric axes hold
         #: sorted ints; categorical axes hold richer objects.
         self.axes: List[Tuple[str, Tuple]] = [
-            ("mwg", mwg_pool),
-            ("nwg", mwg_pool),
-            ("kwg", kwg_pool),
-            ("mdimc", dimc_pool),
-            ("ndimc", dimc_pool),
-            ("kwi", tuple(v for v in kwi_pool)),
-            ("vw", tuple(v for v in _VW if v in r.vector_widths)),
-            ("stride", strides),
-            ("shared", shared),
-            ("mdima", staging_pool),
-            ("ndimb", staging_pool),
+            *r.pools().items(),  # mwg nwg kwg mdimc ndimc kwi vw
+            ("stride", STRIDES),
+            ("shared", r.shared_options()),
+            ("mdima", staging),
+            ("ndimb", staging),
             ("layout", layouts),
-            ("algorithm", algorithms),
+            ("algorithm", r.algorithm_options()),
         ]
         #: Axis names considered ordinal (index distance is meaningful).
-        self.numeric_axes = frozenset(
-            ("mwg", "nwg", "kwg", "mdimc", "ndimc", "kwi", "vw",
-             "mdima", "ndimb")
-        )
+        self.numeric_axes = frozenset(STEP_POOLS) | {"mdima", "ndimb"}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -201,13 +138,7 @@ class ParamSpace:
             )
         except ParameterError:
             return None
-        if params.local_memory_bytes() > self.spec.local_mem_bytes:
-            return None
-        if params.workgroup_size > self.spec.model.max_workgroup_size:
-            return None
-        if not _seed_admissible(params, self.restrictions):
-            return None
-        return params
+        return params if self.admissible(params) else None
 
     def admissible(self, params: KernelParams) -> bool:
         """Whether a params vector lies inside this (restricted) space."""
@@ -217,7 +148,7 @@ class ParamSpace:
             return False
         if params.workgroup_size > self.spec.model.max_workgroup_size:
             return False
-        return _seed_admissible(params, self.restrictions)
+        return self.restrictions.admits(params)
 
     # -- encoding --------------------------------------------------------
     def encode(self, params: KernelParams) -> List[int]:

@@ -247,6 +247,39 @@ class TestIncidentScan:
         assert manager.healths["cypress"].failure_events == 1
 
 
+class TestGrow:
+    def test_a_grown_device_builds_its_shard_member_once(self, monkeypatch):
+        from repro.gemm.multidev import MultiDeviceGemm
+        from repro.serve.fleet import FleetManager
+        from repro.serve.sched import AsyncScheduler, TenantConfig
+
+        service = GemmService(["tahiti", "cypress"], precision="d")
+        manager = FleetManager(AsyncScheduler(service, [TenantConfig("t")]))
+        built = []
+        build = MultiDeviceGemm._build_member
+
+        def spy(fleet, spec, params=None):
+            built.append(spec.codename)
+            return build(fleet, spec, params)
+
+        monkeypatch.setattr(MultiDeviceGemm, "_build_member", spy)
+        start = len(service.log)
+        manager._grow(0.0, 100.0)
+        grown = manager.devices_in(DeviceState.WARMING)
+        assert grown and list(service.parked_devices) == sorted(grown)
+        assert built == []
+        assert [(r.kind, r.device, r.detail)
+                for r in service.log.since(start)][:2] == [
+            ("fleet_admit", grown[0], "2 rungs admitted"),
+            ("fleet_suspend", grown[0], "warming"),
+        ]
+        for device in grown:
+            service.resume_device(device)
+        assert built == list(grown)
+        assert [s.codename for s in service.fleet.specs] == [
+            "tahiti", "cypress", *grown]
+
+
 class TestDemandWave:
     def test_busy_half_runs_at_full_rate(self):
         assert _calm_stretch(0.0, 0.25, 4.0) == 1.0

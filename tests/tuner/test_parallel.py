@@ -143,10 +143,10 @@ class TestErrors:
     def test_empty_space_still_raises_tuning_error(self, tahiti):
         from repro.codegen.space import SpaceRestrictions
 
-        # An unsatisfiable space: no vector widths survive.
+        # An unsatisfiable space: no algorithms survive.
         with pytest.raises(TuningError):
             SearchEngine(
                 tahiti, "d", TuningConfig(budget=5, include_seeds=False),
-                SpaceRestrictions(vector_widths=()),
+                SpaceRestrictions(algorithms=()),
                 workers=2,
             ).run()
