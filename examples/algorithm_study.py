@@ -31,7 +31,7 @@ def main() -> None:
     for algorithm in Algorithm:
         try:
             res = tune(spec, precision, cfg,
-                       SpaceRestrictions(forced_algorithm=algorithm))
+                       SpaceRestrictions(algorithms=(algorithm,)))
         except TuningError as exc:
             print(f"{algorithm.value}: no viable kernel — {exc}")
             continue

@@ -159,7 +159,7 @@ def fig8(quick: bool = False) -> ExperimentResult:
             best_per_alg: Dict[str, float] = {}
             for alg in (Algorithm.BA, Algorithm.PL, Algorithm.DB):
                 cfg = _tuning_config(quick)
-                restrictions = SpaceRestrictions(forced_algorithm=alg)
+                restrictions = SpaceRestrictions(algorithms=(alg,))
                 try:
                     res = tune(spec, precision, cfg, restrictions)
                     best_per_alg[alg.value] = res.best_gflops

@@ -516,10 +516,18 @@ def _run_serving(args, check_clean: bool) -> int:
     from repro.clsim.faults import FaultInjector, FaultPlan
     from repro.obs import Observability, save_metrics, save_traces
     from repro.persist import dump_json_atomic
-    from repro.serve import GemmService, ServiceConfig, SoakConfig, run_soak
+    from repro.serve import (
+        GemmService,
+        ServiceConfig,
+        SoakConfig,
+        run_async_soak,
+        run_soak,
+    )
 
     fleet_mode = bool(args.fleet or args.fleet_json or args.scale_log)
-    async_mode = args.async_mode or args.tenants is not None or fleet_mode
+    async_mode = bool(args.async_mode or args.tenants is not None
+                      or args.bench_json or args.tenant_latency_json
+                      or fleet_mode)
     injector = None
     if args.inject_faults:
         plan = FaultPlan.parse(args.inject_faults, seed=args.fault_seed)
@@ -551,7 +559,7 @@ def _run_serving(args, check_clean: bool) -> int:
     )
     print(service.ladder.describe())
     if async_mode:
-        report = _run_async_soak(args, service, fleet_mode)
+        report = run_async_soak(service, _async_soak_config(args, fleet_mode))
     else:
         report = run_soak(
             service, SoakConfig(requests=args.requests, seed=args.seed)
@@ -567,22 +575,24 @@ def _run_serving(args, check_clean: bool) -> int:
     if args.report_json:
         report.save(args.report_json)
         print(f"report        : {args.report_json}")
-    if args.bench_json and hasattr(report, "aggregate_gflops"):
+    # Each flag below implies the mode whose report carries its payload.
+    if args.bench_json:
         report.save(args.bench_json)
         print(f"bench         : {args.bench_json}")
-    if args.fleet_json and hasattr(report, "episodes"):
-        report.save(args.fleet_json)
+    if args.fleet_json:
+        dump_json_atomic(args.fleet_json, report.fleet_dict(), indent=2)
         print(f"fleet bench   : {args.fleet_json}")
-    if args.scale_log and hasattr(report, "scale_events"):
+    if args.scale_log:
+        fleet = report.fleet
         dump_json_atomic(args.scale_log, {
             "format": "repro-fleet-scale-log/1",
-            "cooldown_s": report.cooldown_s,
-            "events": report.scale_events,
-            "flap_pairs": report.flap_pairs,
+            "cooldown_s": fleet["cooldown_s"],
+            "events": fleet["scale_events"],
+            "flap_pairs": fleet["flap_pairs"],
         }, indent=2)
         print(f"scale log     : {args.scale_log} "
-              f"({len(report.scale_events)} events)")
-    if args.tenant_latency_json and hasattr(report, "per_tenant"):
+              f"({len(fleet['scale_events'])} events)")
+    if args.tenant_latency_json:
         dump_json_atomic(
             args.tenant_latency_json,
             {
@@ -608,22 +618,22 @@ def _run_serving(args, check_clean: bool) -> int:
         save_metrics(args.metrics_json, obs.metrics)
         print(f"metrics       : {args.metrics_json}")
     if check_clean and not report.clean:
-        reasons = [f"{report.wrong_answers} numerically incorrect "
-                   f"responses escaped the serving layer"]
-        if getattr(report, "starved_tenants", None):
-            reasons.append(
-                f"starved tenants: {', '.join(report.starved_tenants)}"
-            )
-        print("FAILED: " + "; ".join(reasons))
+        print("FAILED: " + "; ".join(report.problems()))
         return 1
     return 0
 
 
-def _run_async_soak(args, service, fleet_mode: bool = False):
-    """The --async workload: N tenants over the default load mix."""
+def _async_soak_config(args, fleet_mode: bool):
+    """The --async workload: N tenants over the default load mix, under
+    the fleet manager with --fleet."""
     from dataclasses import replace
 
-    from repro.serve import AsyncSoakConfig, DEFAULT_TENANT_LOADS, run_async_soak
+    from repro.serve import (
+        DEFAULT_TENANT_LOADS,
+        AsyncSoakConfig,
+        AutoscaleConfig,
+        FleetConfig,
+    )
 
     count = args.tenants if args.tenants is not None else 4
     if count < 1:
@@ -638,7 +648,7 @@ def _run_async_soak(args, service, fleet_mode: bool = False):
             for j in range(count)
         )
     )
-    config = AsyncSoakConfig(
+    return AsyncSoakConfig(
         requests=args.requests,
         seed=args.seed,
         tenants=loads,
@@ -651,26 +661,14 @@ def _run_async_soak(args, service, fleet_mode: bool = False):
         # autoscaler nothing to track but a single grow-to-max ramp.
         load_cycle_s=args.load_cycle if fleet_mode else 0.0,
         load_calm_factor=args.load_calm if fleet_mode else 1.0,
-    )
-    if fleet_mode:
-        from repro.serve import (
-            AutoscaleConfig,
-            FleetConfig,
-            FleetSoakConfig,
-            run_fleet_soak,
-        )
-
-        fleet = FleetConfig(autoscale=AutoscaleConfig(
+        fleet=FleetConfig(autoscale=AutoscaleConfig(
             max_devices=args.max_devices,
             grow_queue_depth=args.grow_depth,
             shrink_queue_depth=args.shrink_depth,
             eval_interval_s=args.scale_interval,
             cooldown_s=args.scale_cooldown,
-        ))
-        return run_fleet_soak(
-            service, FleetSoakConfig(soak=config, fleet=fleet)
-        )
-    return run_async_soak(service, config)
+        )) if fleet_mode else None,
+    )
 
 
 def _cmd_serve(args) -> int:

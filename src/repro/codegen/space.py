@@ -99,7 +99,6 @@ class SpaceRestrictions:
     allow_dual_shared: bool = True
     allow_staging_reshape: bool = True
     forced_shared: Optional[Tuple[bool, bool]] = None
-    forced_algorithm: Optional[Algorithm] = None
     forced_layouts: Optional[Tuple[Layout, Layout]] = None
     #: Include image-object (texture) kernel variants.  Off by default:
     #: the paper's generator "does not use image objects currently"
@@ -147,11 +146,6 @@ class SpaceRestrictions:
             return (self.forced_layouts,)
         return LAYOUT_PAIRS
 
-    def algorithm_options(self) -> Tuple[Algorithm, ...]:
-        if self.forced_algorithm is not None:
-            return (self.forced_algorithm,)
-        return tuple(self.algorithms)
-
     def admits(self, params: KernelParams) -> bool:
         """Whether a kernel lies inside this (possibly restricted) space:
         the filter for curated seeds, refinement neighbours and the
@@ -161,8 +155,7 @@ class SpaceRestrictions:
             params.mdimc, params.ndimc, params.kwi,
         ))):
             return False
-        if (params.algorithm not in self.algorithms
-                or params.algorithm not in self.algorithm_options()):
+        if params.algorithm not in self.algorithms:
             return False
         if (params.shared_a, params.shared_b) not in self.shared_options():
             return False
@@ -220,7 +213,7 @@ def _secondary_options(restrictions: SpaceRestrictions) -> List[Tuple]:
     out = []
     for vw, stride, shared, layouts, alg in itertools.product(
         restrictions.pools()["vw"], STRIDES, restrictions.shared_options(),
-        restrictions.layout_options(), restrictions.algorithm_options(),
+        restrictions.layout_options(), restrictions.algorithms,
     ):
         for use_images in image_opts:
             if use_images and layouts != (Layout.ROW, Layout.ROW):

@@ -27,7 +27,9 @@ fair queueing, coalescing of small same-shape requests into pipelined
 :class:`~repro.gemm.batched.BatchedGemm` launches, sharding of large
 requests across the fleet, deadline-aware cancellation, hedged
 re-launches, mid-run hot swaps of the serving kernel, and graceful
-drain — exercised end to end by :func:`run_async_soak`.
+drain — exercised end to end by :func:`run_async_soak`.  The elastic
+fleet manager (:mod:`repro.serve.fleet`) is a layer that soak switches
+on (:attr:`AsyncSoakConfig.fleet`): the churn soak.
 
 See ``docs/serving.md`` for the architecture walk-through and
 ``repro serve`` / ``repro soak`` (plus ``--async``/``--tenants``) for
@@ -65,13 +67,10 @@ from repro.serve.soak import (
     DEFAULT_TENANT_LOADS,
     AsyncSoakConfig,
     AsyncSoakReport,
-    FleetSoakConfig,
-    FleetSoakReport,
     SoakConfig,
     SoakReport,
     TenantLoad,
     run_async_soak,
-    run_fleet_soak,
     run_soak,
 )
 from repro.serve.verify import FreivaldsCheck, FreivaldsVerifier
@@ -92,8 +91,6 @@ __all__ = [
     "DeviceState",
     "FleetConfig",
     "FleetManager",
-    "FleetSoakConfig",
-    "FleetSoakReport",
     "FreivaldsCheck",
     "FreivaldsVerifier",
     "GemmCall",
@@ -112,6 +109,5 @@ __all__ = [
     "TenantLoad",
     "Ticket",
     "run_async_soak",
-    "run_fleet_soak",
     "run_soak",
 ]

@@ -8,29 +8,39 @@ reference** — the ground truth the acceptance criterion is stated in:
 a 1,000-request soak under a >= 10% fault plan must complete with zero
 numerically incorrect responses.
 
-The report bundles the service counters, the incident-kind histogram,
-and the end-to-end wrong-answer count, and persists crash-safe through
-:mod:`repro.persist` so CI can archive it as an artifact.
+Two soak loops share the operand draws and the ground-truth check:
+
+* :func:`run_soak` submits one request at a time to the service;
+* :func:`run_async_soak` streams a multi-tenant workload through the
+  async scheduler.  With :attr:`AsyncSoakConfig.fleet` set, a live
+  :class:`~repro.serve.fleet.FleetManager` autoscales and heals the
+  fleet during the run (the churn soak), and the report carries a fleet
+  section beside the serving one.
+
+The reports bundle the service counters, the incident-kind histogram,
+and the end-to-end wrong-answer count, and persist crash-safe through
+:mod:`repro.persist` so CI can archive them as artifacts.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AdmissionError
 from repro.gemm.reference import reference_gemm, relative_error
 from repro.persist import dump_json_atomic
+from repro.serve.fleet import FleetConfig, FleetManager
+from repro.serve.sched import AsyncScheduler, SchedulerConfig, TenantConfig
 from repro.serve.service import GemmService
 
 __all__ = [
     "SoakConfig", "SoakReport", "run_soak",
     "TenantLoad", "AsyncSoakConfig", "AsyncSoakReport", "run_async_soak",
-    "FleetSoakConfig", "FleetSoakReport", "run_fleet_soak",
     "DEFAULT_TENANT_LOADS",
 ]
 
@@ -47,9 +57,49 @@ _RECOVERY_FACTOR = 2.0
 _RECOVERY_WINDOW_S = 0.02
 
 
-def _tolerance(dtype) -> float:
-    """Ground-truth bound on every soak response's relative error."""
-    return 1e-10 if dtype == np.float64 else 1e-4
+def _draw_problem(rng: np.random.Generator, dtype, m: int, n: int, k: int,
+                  trans_rate: float, beta_rate: float) -> Tuple:
+    """Draw one request's transposes, alpha/beta and operands for an
+    ``m x n x k`` problem: ``(a, b, c, alpha, beta, transa, transb)``."""
+    transa = "T" if rng.random() < trans_rate else "N"
+    transb = "T" if rng.random() < trans_rate else "N"
+    alpha = float(rng.uniform(-2.0, 2.0))
+    use_beta = rng.random() < beta_rate
+    beta = float(rng.uniform(-1.0, 1.0)) if use_beta else 0.0
+    a = rng.standard_normal((m, k) if transa == "N" else (k, m)).astype(dtype)
+    b = rng.standard_normal((k, n) if transb == "N" else (n, k)).astype(dtype)
+    c = rng.standard_normal((m, n)).astype(dtype) if use_beta else None
+    return (a, b, c, alpha, beta, transa, transb)
+
+
+class _GroundTruth:
+    """Checks every served response against the host reference.
+
+    Counts the wrong answers, keeps the worst passing relative error,
+    and records ``(request id, rung, relative error, *extra)`` per
+    failure for triage.
+    """
+
+    def __init__(self, dtype) -> None:
+        self.tolerance = 1e-10 if dtype == np.float64 else 1e-4
+        self.wrong = 0
+        self.worst_error = 0.0
+        self.failures: List[Tuple] = []
+
+    def check(self, problem: Tuple, c_out, rid: int, rung: str,
+              *extra) -> None:
+        a, b, c, alpha, beta, transa, transb = problem
+        expected = reference_gemm(transa, transb, alpha, a, b, beta, c)
+        err = float(relative_error(c_out, expected))
+        if not np.isfinite(err) or err > self.tolerance:
+            self.wrong += 1
+            self.failures.append((rid, rung, err) + extra)
+        else:
+            self.worst_error = max(self.worst_error, err)
+
+
+def _wrong_answers_problem(count: int) -> str:
+    return f"{count} numerically incorrect responses escaped the serving layer"
 
 
 @dataclass(frozen=True)
@@ -87,9 +137,15 @@ class SoakReport:
     #: to its persisted trace and incident records.
     failures: List[Tuple[int, str, float, str]] = field(default_factory=list)
 
+    def problems(self) -> List[str]:
+        """Why the soak is not clean (empty when it is)."""
+        if not self.wrong_answers:
+            return []
+        return [_wrong_answers_problem(self.wrong_answers)]
+
     @property
     def clean(self) -> bool:
-        return self.wrong_answers == 0
+        return not self.problems()
 
     def as_dict(self) -> Dict:
         return {
@@ -126,23 +182,15 @@ def run_soak(service: GemmService, config: Optional[SoakConfig] = None) -> SoakR
     """Drive ``service`` with a seeded workload; ground-truth every response."""
     config = config or SoakConfig()
     rng = np.random.default_rng(config.seed)
-    dtype = service.dtype
-    tolerance = _tolerance(dtype)
-    served = shed = wrong = 0
-    worst_error = 0.0
-    failures: List[Tuple[int, str, float, str]] = []
+    truth = _GroundTruth(service.dtype)
+    served = shed = 0
     for rid in range(1, config.requests + 1):
         n = int(rng.choice(config.sizes))
         m = int(rng.choice(config.sizes))
         k = int(rng.choice(config.sizes))
-        transa = "T" if rng.random() < config.trans_rate else "N"
-        transb = "T" if rng.random() < config.trans_rate else "N"
-        alpha = float(rng.uniform(-2.0, 2.0))
-        use_beta = rng.random() < config.beta_rate
-        beta = float(rng.uniform(-1.0, 1.0)) if use_beta else 0.0
-        a = rng.standard_normal((m, k) if transa == "N" else (k, m)).astype(dtype)
-        b = rng.standard_normal((k, n) if transb == "N" else (n, k)).astype(dtype)
-        c = rng.standard_normal((m, n)).astype(dtype) if use_beta else None
+        problem = _draw_problem(rng, service.dtype, m, n, k,
+                                config.trans_rate, config.beta_rate)
+        a, b, c, alpha, beta, transa, transb = problem
         # Deterministic arrival jitter: bursts push the backlog into the
         # shedding regime so admission control actually exercises.
         dt = config.interarrival_s * float(rng.uniform(0.2, 1.8))
@@ -155,22 +203,16 @@ def run_soak(service: GemmService, config: Optional[SoakConfig] = None) -> SoakR
             shed += 1
             continue
         served += 1
-        expected = reference_gemm(transa, transb, alpha, a, b, beta, c)
-        err = relative_error(result.c, expected)
-        if not np.isfinite(err) or err > tolerance:
-            wrong += 1
-            failures.append((rid, result.rung, float(err), result.trace_id))
-        else:
-            worst_error = max(worst_error, float(err))
+        truth.check(problem, result.c, rid, result.rung, result.trace_id)
     return SoakReport(
         requests=config.requests,
         served=served,
         shed=shed,
-        wrong_answers=wrong,
-        worst_error=worst_error,
+        wrong_answers=truth.wrong,
+        worst_error=truth.worst_error,
         counters=service.counters.as_dict(),
         incident_kinds=service.log.kind_counts(),
-        failures=failures,
+        failures=truth.failures,
     )
 
 
@@ -179,8 +221,10 @@ def run_soak(service: GemmService, config: Optional[SoakConfig] = None) -> SoakR
 # ======================================================================
 
 @dataclass(frozen=True)
-class TenantLoad:
-    """One tenant's offered load in the async soak.
+class TenantLoad(TenantConfig):
+    """One tenant in the async soak: its contract with the scheduler
+    (the :class:`~repro.serve.sched.TenantConfig` fields) plus the load
+    it offers.
 
     ``load_share`` sets how many of the soak's requests this tenant
     generates relative to the others (a 10:1 skew is two tenants with
@@ -189,8 +233,6 @@ class TenantLoad:
     tenant without letting it crowd the rest out.
     """
 
-    name: str
-    weight: float = 1.0
     load_share: float = 1.0
     sizes: Tuple[int, ...] = (16, 24, 32, 48, 64)
     #: Square problems (M=N=K) coalesce readily; rectangular draws all
@@ -198,21 +240,11 @@ class TenantLoad:
     square: bool = True
     trans_rate: float = 0.25
     beta_rate: float = 0.25
-    queue_capacity: int = 64
-    shed_retries: int = 1
-    hedge_budget: int = 4
-    deadline_s: Optional[float] = None
 
-    def tenant_config(self):
-        from repro.serve.sched import TenantConfig
-
-        return TenantConfig(
-            name=self.name, weight=self.weight,
-            queue_capacity=self.queue_capacity,
-            shed_retries=self.shed_retries,
-            hedge_budget=self.hedge_budget,
-            deadline_s=self.deadline_s,
-        )
+    def tenant_config(self) -> TenantConfig:
+        """The scheduler contract alone, as a plain ``TenantConfig``."""
+        return TenantConfig(**{f.name: getattr(self, f.name)
+                               for f in fields(TenantConfig)})
 
 
 #: The acceptance-soak tenant mix: four tenants, mixed sizes, a 10:1
@@ -258,6 +290,14 @@ class AsyncSoakConfig:
     #: into.
     load_cycle_s: float = 0.0
     load_calm_factor: float = 1.0
+    #: Run a live :class:`~repro.serve.fleet.FleetManager` with these
+    #: knobs, ticked after every scheduler step so autoscaling and
+    #: failure detection act *during* the soak (None: a fixed fleet).
+    #: The report then carries the fleet section.  A churn soak also
+    #: sets ``hot_swap_at=0``, since the manager parks and resumes
+    #: devices itself, and a demand wave, since a flat overload only
+    #: ever asks the autoscaler to grow.
+    fleet: Optional[FleetConfig] = None
 
 
 #: Fixed latency-histogram bucket bounds (milliseconds) for the
@@ -294,9 +334,15 @@ def _histogram_ms(latencies_s: List[float]) -> Dict[str, int]:
 
 @dataclass
 class AsyncSoakReport:
-    """Outcome of one async multi-tenant soak (BENCH_serving payload)."""
+    """Outcome of one async multi-tenant soak.
+
+    :meth:`as_dict` is the ``BENCH_serving.json`` payload; a churn soak
+    (one with a fleet layer) also has the :meth:`fleet_dict`
+    ``BENCH_fleet.json`` payload, which nests the serving one.
+    """
 
     FORMAT = "repro-bench-serving/1"
+    FLEET_FORMAT = "repro-bench-fleet/1"
 
     requests: int
     served: int
@@ -326,10 +372,29 @@ class AsyncSoakReport:
     #: Time-bucketed (p50/p99 latency, shed, GFlop/s) trajectory.
     trajectory: List[Dict]
     failures: List[Tuple[int, str, float]] = field(default_factory=list)
+    #: The fleet section of a churn soak (None without a fleet layer):
+    #: the manager's summary (evaluations, scale events, per-device
+    #: lifecycles), the autoscaler cooldown, the opposite-direction
+    #: event pairs inside one cooldown (``flap_pairs``, MUST be empty),
+    #: and the correlated fault episodes with their measured p99
+    #: recovery.
+    fleet: Optional[Dict] = None
+
+    def problems(self) -> List[str]:
+        """Why the soak is not clean (empty when it is)."""
+        out = []
+        if self.wrong_answers:
+            out.append(_wrong_answers_problem(self.wrong_answers))
+        if self.starved_tenants:
+            out.append(f"starved tenants: {', '.join(self.starved_tenants)}")
+        if self.fleet is not None and self.fleet["flap_pairs"]:
+            out.append(f"{len(self.fleet['flap_pairs'])} scale-event flap "
+                       f"pairs inside one cooldown")
+        return out
 
     @property
     def clean(self) -> bool:
-        return self.wrong_answers == 0 and not self.starved_tenants
+        return not self.problems()
 
     def as_dict(self) -> Dict:
         return {
@@ -356,6 +421,11 @@ class AsyncSoakReport:
             "trajectory": self.trajectory,
             "failures": [list(f) for f in self.failures],
         }
+
+    def fleet_dict(self) -> Dict:
+        """The ``BENCH_fleet.json`` payload (a churn soak only)."""
+        return {"format": self.FLEET_FORMAT, "serving": self.as_dict(),
+                "fleet": self.fleet}
 
     def save(self, path: str) -> str:
         return dump_json_atomic(path, self.as_dict(), indent=2)
@@ -389,7 +459,35 @@ class AsyncSoakReport:
         for rid, rung, err in self.failures[:10]:
             lines.append(f"  FAILURE request {rid} via {rung}: "
                          f"relative error {err:.3e}")
+        if self.fleet is not None:
+            lines.extend(self._render_fleet())
         return "\n".join(lines)
+
+    def _render_fleet(self) -> List[str]:
+        fleet = self.fleet
+        lines = [
+            f"fleet: {len(fleet['scale_events'])} scale events "
+            f"({fleet['grow_events']} grow, {fleet['shrink_events']} "
+            f"shrink) over {fleet['evaluations']} evaluations, "
+            f"{len(fleet['flap_pairs'])} flap pairs, serving at end: "
+            f"{', '.join(fleet['final_serving']) or '-'}"
+        ]
+        for name, dev in sorted(fleet["devices"].items()):
+            lines.append(
+                f"  {name:12s} {dev['state']:12s} "
+                f"score {dev['health_score']:.3f}  "
+                f"{len(dev['transitions'])} transitions"
+            )
+        for ep in fleet["episodes"]:
+            span = f"{ep['start_s'] * 1e3:.1f}-{ep['end_s'] * 1e3:.1f} ms"
+            if ep["recovered_after_s"] is not None:
+                rec = f"p99 recovered in {ep['recovered_after_s'] * 1e3:.1f} ms"
+            else:
+                rec = "p99 recovery not observed in run"
+            lines.append(
+                f"  episode {ep['kind']} @ {ep['zone']} [{span}]: {rec}"
+            )
+        return lines
 
 
 def _calm_stretch(t: float, cycle_s: float, calm_factor: float) -> float:
@@ -422,15 +520,8 @@ def _tenant_stream(load: TenantLoad, count: int, horizon_s: float,
             m = int(rng.choice(load.sizes))
             n = int(rng.choice(load.sizes))
             k = int(rng.choice(load.sizes))
-        transa = "T" if rng.random() < load.trans_rate else "N"
-        transb = "T" if rng.random() < load.trans_rate else "N"
-        alpha = float(rng.uniform(-2.0, 2.0))
-        use_beta = rng.random() < load.beta_rate
-        beta = float(rng.uniform(-1.0, 1.0)) if use_beta else 0.0
-        a = rng.standard_normal((m, k) if transa == "N" else (k, m)).astype(dtype)
-        b = rng.standard_normal((k, n) if transb == "N" else (n, k)).astype(dtype)
-        c = rng.standard_normal((m, n)).astype(dtype) if use_beta else None
-        yield (t, load, (a, b, c, alpha, beta, transa, transb))
+        yield (t, load, _draw_problem(rng, dtype, m, n, k,
+                                      load.trans_rate, load.beta_rate))
         t += (gap * float(rng.uniform(0.2, 1.8))
               * _calm_stretch(t, cycle_s, calm_factor))
 
@@ -451,8 +542,6 @@ def _tenant_counts(tenants: Sequence[TenantLoad], requests: int) -> List[int]:
 
 def run_async_soak(
     service: GemmService, config: Optional[AsyncSoakConfig] = None,
-    fleet_manager_factory: Optional[Callable] = None,
-    served_sink: Optional[List[Tuple[float, float]]] = None,
 ) -> AsyncSoakReport:
     """Drive the async scheduler with a seeded multi-tenant workload.
 
@@ -464,27 +553,26 @@ def run_async_soak(
     Returns the :class:`AsyncSoakReport` whose ``as_dict()`` is the
     ``BENCH_serving.json`` payload.
 
-    ``fleet_manager_factory`` (used by :func:`run_fleet_soak`) is called
-    with the built scheduler and must return an object with
-    ``observe(ticket, request)`` and ``tick(now_s)`` — the fleet manager
-    is ticked after every scheduler step so autoscaling and failure
-    detection run *during* the soak, not on its ashes.  ``served_sink``
-    collects ``(completed_s, latency_s)`` per served request for
-    post-hoc trajectory analysis (recovery accounting).
+    With ``config.fleet`` set this is the churn soak: a
+    :class:`~repro.serve.fleet.FleetManager` observes every completion
+    and is ticked after every scheduler step, so it autoscales,
+    suspects, probes and recovers devices while the workload runs (and
+    the fault plan fires).  The report's fleet section then joins the
+    manager's scale events and lifecycle transitions with the anti-flap
+    audit and the per-episode p99 recovery times.  Everything is a pure
+    function of the seeds, so both payloads are bit-identical across
+    reruns.
     """
-    from repro.serve.sched import AsyncScheduler, SchedulerConfig
-
     config = config or AsyncSoakConfig()
     dtype = service.dtype
-    tolerance = _tolerance(dtype)
     scheduler = AsyncScheduler(
         service,
         [t.tenant_config() for t in config.tenants],
         SchedulerConfig(max_batch=config.max_batch),
         obs=service.obs,
     )
-    manager = (fleet_manager_factory(scheduler)
-               if fleet_manager_factory is not None else None)
+    manager = (FleetManager(scheduler, config.fleet)
+               if config.fleet is not None else None)
 
     horizon_s = config.requests * config.interarrival_s
     counts = _tenant_counts(config.tenants, config.requests)
@@ -513,15 +601,12 @@ def run_async_soak(
             )
 
     # -- completion-time accounting (verify + release as we go) ---------
-    wrong = 0
-    worst_error = 0.0
-    failures: List[Tuple[int, str, float]] = []
+    truth = _GroundTruth(dtype)
     served_events: List[Tuple[float, float, float]] = []  # (t, latency, flops)
     shed_times: List[float] = []
     operands: Dict[int, Tuple] = {}
 
     def on_complete(ticket, request) -> None:
-        nonlocal wrong, worst_error
         if manager is not None:
             manager.observe(ticket, request)
         problem = operands.pop(ticket.rid, None)
@@ -530,20 +615,11 @@ def run_async_soak(
             return
         if ticket.status != "served" or problem is None:
             return
-        a, b, c, alpha, beta, transa, transb = problem
-        expected = reference_gemm(transa, transb, alpha, a, b, beta, c)
-        err = relative_error(ticket.result.c, expected)
-        if not np.isfinite(err) or err > tolerance:
-            wrong += 1
-            failures.append((ticket.rid, ticket.result.rung, float(err)))
-        else:
-            worst_error = max(worst_error, float(err))
+        truth.check(problem, ticket.result.c, ticket.rid, ticket.result.rung)
         M, N, K = request.shape
         served_events.append(
             (ticket.completed_s, ticket.latency_s, 2.0 * M * N * K)
         )
-        if served_sink is not None:
-            served_sink.append((ticket.completed_s, ticket.latency_s))
         ticket.result.c = None  # release the response matrix
 
     scheduler.on_complete = on_complete
@@ -587,7 +663,7 @@ def run_async_soak(
         name = state.config.name
         if state.submitted > 0 and state.served == 0:
             starved.append(name)
-        hints = list(getattr(state, "retry_hints_s", ()))
+        hints = state.retry_hints_s
         per_tenant[name] = {
             "submitted": state.submitted,
             "served": state.served,
@@ -629,7 +705,22 @@ def run_async_soak(
             "gflops": flops / width / 1e9 if width > 0 else 0.0,
         })
 
-    counters = service.counters
+    fleet = None
+    if manager is not None:
+        cooldown = manager.config.autoscale.cooldown_s
+        events = manager.scale_events
+        fleet = manager.summary(duration)
+        fleet.update(
+            cooldown_s=cooldown,
+            flap_pairs=[
+                {"first": first.to_dict(), "second": second.to_dict()}
+                for first, second in zip(events, events[1:])
+                if (second.t_s - first.t_s < cooldown
+                    and second.direction != first.direction)
+            ],
+            episodes=_episode_recovery(service, served_events, duration),
+        )
+
     return AsyncSoakReport(
         requests=config.requests,
         served=len(served_events),
@@ -637,8 +728,8 @@ def run_async_soak(
         shed_events=sum(state.shed_events for state in scheduler.queues),
         shed_retried=sum(state.shed_retried for state in scheduler.queues),
         cancelled=sum(state.cancelled for state in scheduler.queues),
-        wrong_answers=wrong,
-        worst_error=worst_error,
+        wrong_answers=truth.wrong,
+        worst_error=truth.worst_error,
         duration_s=duration,
         aggregate_gflops=(served_flops / duration / 1e9
                           if duration > 0 else 0.0),
@@ -647,129 +738,21 @@ def run_async_soak(
         small_gemm=service.small_gemm.as_dict(),
         starved_tenants=starved,
         per_tenant=per_tenant,
-        counters=counters.as_dict(),
+        counters=service.counters.as_dict(),
         incident_kinds=service.log.kind_counts(),
         trajectory=trajectory,
-        failures=failures,
+        failures=truth.failures,
+        fleet=fleet,
     )
-
-
-# ======================================================================
-# The churn soak: async soak + live fleet manager (see repro.serve.fleet)
-# ======================================================================
-
-@dataclass(frozen=True)
-class FleetSoakConfig:
-    """One churn soak: an async soak run under an active fleet manager.
-
-    The hot-swap is disabled by default here — the fleet manager itself
-    suspends and resumes devices throughout the run, and a scheduled
-    swap against a device the manager happens to have parked would test
-    the collision, not elasticity.  The workload defaults to a cycled
-    demand wave (``load_cycle_s``) for the same reason: a uniformly
-    overloaded queue only ever asks the autoscaler to grow; the calm
-    half-cycles are what make shrink-then-regrow churn reachable.
-    """
-
-    soak: AsyncSoakConfig = field(
-        default_factory=lambda: AsyncSoakConfig(
-            hot_swap_at=0.0, load_cycle_s=0.25, load_calm_factor=4.0,
-        )
-    )
-    #: Fleet-manager knobs; None takes the FleetConfig defaults.
-    fleet: Optional[object] = None
-
-
-@dataclass
-class FleetSoakReport:
-    """Outcome of one churn soak (the ``BENCH_fleet.json`` payload)."""
-
-    FORMAT = "repro-bench-fleet/1"
-
-    #: The underlying async-soak report (correctness, fairness, latency).
-    serving: AsyncSoakReport
-    #: Autoscaler evaluations that ran during the soak.
-    evaluations: int
-    scale_events: List[Dict]
-    grow_events: int
-    shrink_events: int
-    cooldown_s: float
-    #: Opposite-direction event pairs inside one cooldown window — the
-    #: autoscaler's construction makes this impossible; MUST be empty.
-    flap_pairs: List[Dict]
-    #: Per-device final state, health, and full lifecycle transitions.
-    devices: Dict[str, Dict]
-    final_serving: List[str]
-    #: Correlated fault episodes (ground truth from the injector) with
-    #: measured p99 recovery after each.
-    episodes: List[Dict]
-
-    @property
-    def clean(self) -> bool:
-        return self.serving.clean and not self.flap_pairs
-
-    # Forwarders so report consumers (CLI gating) need not special-case.
-    @property
-    def wrong_answers(self) -> int:
-        return self.serving.wrong_answers
-
-    @property
-    def starved_tenants(self) -> List[str]:
-        return self.serving.starved_tenants
-
-    def as_dict(self) -> Dict:
-        return {
-            "format": self.FORMAT,
-            "serving": self.serving.as_dict(),
-            "fleet": {
-                "evaluations": self.evaluations,
-                "scale_events": self.scale_events,
-                "grow_events": self.grow_events,
-                "shrink_events": self.shrink_events,
-                "cooldown_s": self.cooldown_s,
-                "flap_pairs": self.flap_pairs,
-                "devices": self.devices,
-                "final_serving": self.final_serving,
-                "episodes": self.episodes,
-            },
-        }
-
-    def save(self, path: str) -> str:
-        return dump_json_atomic(path, self.as_dict(), indent=2)
-
-    def render(self) -> str:
-        lines = [self.serving.render()]
-        lines.append(
-            f"fleet: {len(self.scale_events)} scale events "
-            f"({self.grow_events} grow, {self.shrink_events} shrink) over "
-            f"{self.evaluations} evaluations, {len(self.flap_pairs)} flap "
-            f"pairs, serving at end: {', '.join(self.final_serving) or '-'}"
-        )
-        for name in sorted(self.devices):
-            dev = self.devices[name]
-            lines.append(
-                f"  {name:12s} {dev['state']:12s} "
-                f"score {dev['health_score']:.3f}  "
-                f"{len(dev['transitions'])} transitions"
-            )
-        for ep in self.episodes:
-            span = f"{ep['start_s'] * 1e3:.1f}-{ep['end_s'] * 1e3:.1f} ms"
-            if ep["recovered_after_s"] is not None:
-                rec = f"p99 recovered in {ep['recovered_after_s'] * 1e3:.1f} ms"
-            else:
-                rec = "p99 recovery not observed in run"
-            lines.append(
-                f"  episode {ep['kind']} @ {ep['zone']} [{span}]: {rec}"
-            )
-        return "\n".join(lines)
 
 
 def _episode_recovery(
     service: GemmService,
-    series: List[Tuple[float, float]],
+    served_events: List[Tuple[float, float, float]],
     until_s: float,
 ) -> List[Dict]:
-    """Ground-truth fault episodes + measured p99 recovery after each.
+    """Ground-truth fault episodes + measured p99 recovery after each,
+    from the soak's completion-ordered ``(t, latency, flops)`` events.
 
     Episodes come from the injector's :meth:`active_windows` — the same
     deterministic schedule the faults themselves were rolled from, so
@@ -784,8 +767,8 @@ def _episode_recovery(
         return []
     from repro.devices.catalog import DEVICE_ZONES
 
-    times = [t for t, _ in series]  # completion-ordered (simulated clock)
-    lats = [lat for _, lat in series]
+    times = [t for t, _, _ in served_events]
+    lats = [lat for _, lat, _ in served_events]
 
     def window_p99(lo: float, hi: float) -> float:
         i = bisect.bisect_right(times, lo)
@@ -820,54 +803,3 @@ def _episode_recovery(
                 })
     episodes.sort(key=lambda ep: (ep["start_s"], ep["kind"], ep["zone"]))
     return episodes
-
-
-def run_fleet_soak(
-    service: GemmService, config: Optional[FleetSoakConfig] = None,
-) -> FleetSoakReport:
-    """Run the churn soak: async workload under an active fleet manager.
-
-    The manager autoscales, suspects, probes, and recovers devices while
-    the workload runs (and the fault plan fires); afterwards the report
-    joins the serving outcome with the fleet's scale events, lifecycle
-    transitions, anti-flap audit, and per-episode p99 recovery times.
-    Everything is a pure function of the seeds, so the saved
-    ``BENCH_fleet.json`` is bit-identical across reruns.
-    """
-    from repro.serve.fleet import FleetManager
-
-    config = config or FleetSoakConfig()
-    holder: Dict[str, object] = {}
-
-    def factory(scheduler):
-        holder["manager"] = FleetManager(scheduler, config.fleet)
-        return holder["manager"]
-
-    series: List[Tuple[float, float]] = []
-    serving = run_async_soak(
-        service, config.soak,
-        fleet_manager_factory=factory, served_sink=series,
-    )
-    manager = holder["manager"]
-    now = serving.duration_s
-    summary = manager.summary(now)
-    events = list(manager.scale_events)
-    cooldown = manager.config.autoscale.cooldown_s
-    flap_pairs = [
-        {"first": first.to_dict(), "second": second.to_dict()}
-        for first, second in zip(events, events[1:])
-        if (second.t_s - first.t_s < cooldown
-            and second.direction != first.direction)
-    ]
-    return FleetSoakReport(
-        serving=serving,
-        evaluations=summary["evaluations"],
-        scale_events=[event.to_dict() for event in events],
-        grow_events=sum(1 for e in events if e.direction == "grow"),
-        shrink_events=sum(1 for e in events if e.direction == "shrink"),
-        cooldown_s=cooldown,
-        flap_pairs=flap_pairs,
-        devices=summary["devices"],
-        final_serving=summary["final_serving"],
-        episodes=_episode_recovery(service, series, now),
-    )

@@ -785,13 +785,7 @@ class SearchEngine:
             scored = [MeasuredKernel.from_dict(d) for d in checkpoint["scored"]]
             consumed = int(checkpoint["consumed"])
             self.stats.resumed += consumed
-            state = checkpoint.get("strategy_state")
-            if state is not None:
-                strategy.load_state_dict(state)
-            else:
-                # Pre-strategy checkpoint: only the enumerative stream
-                # can reconstruct its position from the count alone.
-                strategy.load_state_dict({"proposed": consumed})
+            strategy.load_state_dict(checkpoint["strategy_state"])
 
         def _flush(stage1_extra: Dict) -> None:
             stage1_extra.update(

@@ -98,7 +98,7 @@ class ParamSpace:
             ("mdima", staging),
             ("ndimb", staging),
             ("layout", layouts),
-            ("algorithm", r.algorithm_options()),
+            ("algorithm", tuple(r.algorithms)),
         ]
         #: Axis names considered ordinal (index distance is meaningful).
         self.numeric_axes = frozenset(STEP_POOLS) | {"mdima", "ndimb"}

@@ -93,8 +93,8 @@ class TestRestrictions:
                       params.mdimc, params.ndimc, params.kwi):
                 assert v & (v - 1) == 0, params.summary()
 
-    def test_forced_algorithm(self, tahiti):
-        r = SpaceRestrictions(forced_algorithm=Algorithm.DB)
+    def test_single_algorithm(self, tahiti):
+        r = SpaceRestrictions(algorithms=(Algorithm.DB,))
         for params in enumerate_space(tahiti, "d", r, limit=100):
             assert params.algorithm is Algorithm.DB
 
@@ -131,8 +131,8 @@ class TestRestrictions:
         assert old < full
 
     def test_seeds_filtered_by_restrictions(self, tahiti):
-        # With a forced algorithm, only matching seeds survive up front.
-        r = SpaceRestrictions(forced_algorithm=Algorithm.PL)
+        # With a single algorithm, only matching seeds survive up front.
+        r = SpaceRestrictions(algorithms=(Algorithm.PL,))
         first = next(iter(enumerate_space(tahiti, "s", r)))
         assert first.algorithm is Algorithm.PL
 

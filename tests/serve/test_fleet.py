@@ -25,12 +25,7 @@ from repro.serve.fleet import (
     FleetConfig,
     HealthConfig,
 )
-from repro.serve.soak import (
-    AsyncSoakConfig,
-    FleetSoakConfig,
-    _calm_stretch,
-    run_fleet_soak,
-)
+from repro.serve.soak import AsyncSoakConfig, _calm_stretch, run_async_soak
 
 
 class TestHealth:
@@ -307,15 +302,15 @@ def _small_fleet_soak(seed=11, requests=1500, obs=None):
         config=ServiceConfig(default_deadline_s=None),
         fault_injector=injector, obs=obs,
     )
-    config = FleetSoakConfig(
-        soak=AsyncSoakConfig(requests=requests, seed=seed, hot_swap_at=0.0),
+    config = AsyncSoakConfig(
+        requests=requests, seed=seed, hot_swap_at=0.0,
         fleet=FleetConfig(autoscale=AutoscaleConfig(
             min_devices=1, max_devices=5,
             grow_queue_depth=8.0, shrink_queue_depth=2.0,
             eval_interval_s=0.002, cooldown_s=0.02, sustain_evals=2,
         )),
     )
-    return run_fleet_soak(service, config)
+    return run_async_soak(service, config)
 
 
 class TestChurnSoak:
@@ -324,27 +319,29 @@ class TestChurnSoak:
         return _small_fleet_soak()
 
     def test_clean_under_chaos(self, report):
-        assert report.serving.wrong_answers == 0
-        assert report.serving.starved_tenants == []
+        assert report.wrong_answers == 0
+        assert report.starved_tenants == []
         assert report.clean
 
     def test_autoscaler_acted_without_flapping(self, report):
-        assert report.grow_events >= 1
-        assert report.flap_pairs == []
-        for first, second in zip(report.scale_events,
-                                 report.scale_events[1:]):
-            assert second["t_s"] - first["t_s"] >= report.cooldown_s
+        fleet = report.fleet
+        assert fleet["grow_events"] >= 1
+        assert fleet["flap_pairs"] == []
+        for first, second in zip(fleet["scale_events"],
+                                 fleet["scale_events"][1:]):
+            assert second["t_s"] - first["t_s"] >= fleet["cooldown_s"]
 
     def test_lifecycles_stay_legal_and_reported(self, report):
-        assert report.devices
-        for device, info in report.devices.items():
+        devices = report.fleet["devices"]
+        assert devices
+        for device, info in devices.items():
             assert info["state"] in {s.value for s in DeviceState}
             assert info["transitions"][0]["to"] in (
                 "provisioning", "serving"
             )
 
     def test_retry_hints_surface_per_tenant(self, report):
-        hints = [t["retry_hints"] for t in report.serving.per_tenant.values()]
+        hints = [t["retry_hints"] for t in report.per_tenant.values()]
         assert all(h["count"] >= 0 and h["max_ms"] >= 0.0 for h in hints)
         # The overloaded mix must have shed with backpressure hints.
         assert sum(h["count"] for h in hints) > 0
@@ -353,14 +350,50 @@ class TestChurnSoak:
         # The rerun exports telemetry: observability must not change
         # a single byte of the payload.
         again = _small_fleet_soak(obs=Observability(seed=11, trace_limit=8))
-        assert (json.dumps(report.as_dict(), sort_keys=True)
-                == json.dumps(again.as_dict(), sort_keys=True))
+        assert (json.dumps(report.fleet_dict(), sort_keys=True)
+                == json.dumps(again.fleet_dict(), sort_keys=True))
 
     def test_payload_format(self, report):
-        payload = report.as_dict()
+        payload = report.fleet_dict()
         assert payload["format"] == "repro-bench-fleet/1"
         assert set(payload) == {"format", "serving", "fleet"}
+        assert payload["serving"] == report.as_dict()
         fleet = payload["fleet"]
         assert fleet["grow_events"] + fleet["shrink_events"] == len(
             fleet["scale_events"]
         )
+
+
+class TestChurnSoakCLI:
+    def test_fleet_soak_writes_every_payload(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.persist import CHECKSUM_KEY
+
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("bench", "tenants", "fleet")}
+        code = main([
+            "soak", "tahiti", "cypress", "--fleet", "--requests", "200",
+            "--seed", "7", "--inject-faults", "fleet-chaos",
+            "--fault-seed", "7",
+            "--bench-json", str(paths["bench"]),
+            "--tenant-latency-json", str(paths["tenants"]),
+            "--fleet-json", str(paths["fleet"]),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        payloads = {name: json.loads(path.read_text())
+                    for name, path in paths.items()}
+        bench = payloads["bench"]
+        del bench[CHECKSUM_KEY]
+        assert bench == payloads["fleet"]["serving"]
+        assert set(payloads["tenants"]["tenants"]) == set(bench["tenants"])
+
+    def test_bench_flags_imply_async(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bench.json"
+        assert main(["soak", "tahiti", "--requests", "40",
+                     "--bench-json", str(path)]) == 0
+        assert "async soak:" in capsys.readouterr().out
+        assert json.loads(path.read_text())["format"] \
+            == "repro-bench-serving/1"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.clsim.faults import CANNED_PLANS, FaultInjector
 from repro.serve import (
@@ -10,6 +11,8 @@ from repro.serve import (
     GemmService,
     ServiceConfig,
     SoakConfig,
+    TenantConfig,
+    TenantLoad,
     run_async_soak,
     run_soak,
 )
@@ -158,3 +161,12 @@ def test_async_report_payload(tmp_path):
             == stats["submitted"] - stats["invalid"]
     assert len(payload["trajectory"]) <= 20
     assert "async soak:" in report.render()
+
+
+def test_tenant_load_carries_a_validated_tenant_config():
+    load = TenantLoad("t", weight=2.0, load_share=3.0, deadline_s=0.01)
+    config = load.tenant_config()
+    assert type(config) is TenantConfig
+    assert config == TenantConfig("t", weight=2.0, deadline_s=0.01)
+    with pytest.raises(ValueError, match="weight"):
+        TenantLoad("t", weight=0.0)

@@ -54,7 +54,7 @@ class TestAutotune:
 
         result = autotune(
             "tahiti", "d", budget=150,
-            restrictions=SpaceRestrictions(forced_algorithm=Algorithm.BA),
+            restrictions=SpaceRestrictions(algorithms=(Algorithm.BA,)),
         )
         assert result.best.params.algorithm is Algorithm.BA
 

@@ -66,7 +66,7 @@ class TestRefinementStage:
 
     def test_refinement_respects_restrictions(self):
         cfg = TuningConfig(budget=300, verify_finalists=0, refine_rounds=2)
-        restrictions = SpaceRestrictions(forced_algorithm=Algorithm.BA)
+        restrictions = SpaceRestrictions(algorithms=(Algorithm.BA,))
         result = SearchEngine("tahiti", "d", cfg, restrictions).run()
         for mk in result.finalists:
             assert mk.params.algorithm is Algorithm.BA

@@ -130,7 +130,7 @@ class TestRun:
         assert result.stats.failed_launch == 0
 
     def test_restrictions_are_respected(self, tahiti):
-        restrictions = SpaceRestrictions(forced_algorithm=Algorithm.DB)
+        restrictions = SpaceRestrictions(algorithms=(Algorithm.DB,))
         result = tune(tahiti, "d", QUICK, restrictions)
         assert result.best.params.algorithm is Algorithm.DB
         for mk in result.finalists:
