@@ -78,6 +78,9 @@ LAYOUT_PAIRS = (
     (Layout.CBL, Layout.RBL),
     (Layout.RBL, Layout.CBL),
 )
+#: The layouts an image or edge-guarded kernel may take (construction's
+#: ``param.image-layout`` and ``param.guard-layout`` rules).
+FLAGGED_LAYOUTS = ((Layout.ROW, Layout.ROW),)
 
 
 def _is_pow2(value: int) -> bool:
@@ -146,6 +149,12 @@ class SpaceRestrictions:
             return (self.forced_layouts,)
         return LAYOUT_PAIRS
 
+    def image_options(self) -> Tuple[bool, ...]:
+        return _flag_options(self.allow_images, self.forced_images)
+
+    def guard_options(self) -> Tuple[bool, ...]:
+        return _flag_options(self.allow_guarded, self.forced_guarded)
+
     def admits(self, params: KernelParams) -> bool:
         """Whether a kernel lies inside this (possibly restricted) space:
         the filter for curated seeds, refinement neighbours and the
@@ -166,9 +175,8 @@ class SpaceRestrictions:
         if (self.forced_layouts is not None
                 and (params.layout_a, params.layout_b) != self.forced_layouts):
             return False
-        return (params.use_images in _flag_options(self.allow_images, self.forced_images)
-                and params.guard_edges in _flag_options(
-                    self.allow_guarded, self.forced_guarded))
+        return (params.use_images in self.image_options()
+                and params.guard_edges in self.guard_options())
 
 
 def _blocking_pools(restrictions: SpaceRestrictions) -> List[Tuple[int, ...]]:
@@ -208,19 +216,17 @@ def _blocking_ok(device: DeviceSpec, blocking: Draft) -> bool:
 def _secondary_options(restrictions: SpaceRestrictions) -> List[Tuple]:
     """All (vw, stride, shared, layouts, algorithm, images, guard)
     combinations allowed."""
-    image_opts = _flag_options(restrictions.allow_images, restrictions.forced_images)
-    guard_opts = _flag_options(restrictions.allow_guarded, restrictions.forced_guarded)
+    image_opts = restrictions.image_options()
+    guard_opts = restrictions.guard_options()
     out = []
     for vw, stride, shared, layouts, alg in itertools.product(
         restrictions.pools()["vw"], STRIDES, restrictions.shared_options(),
         restrictions.layout_options(), restrictions.algorithms,
     ):
         for use_images in image_opts:
-            if use_images and layouts != (Layout.ROW, Layout.ROW):
-                continue  # textures are addressed 2-D; host layout is moot
             for guard in guard_opts:
-                if guard and layouts != (Layout.ROW, Layout.ROW):
-                    continue  # guarded kernels read unpacked operands
+                if (use_images or guard) and layouts not in FLAGGED_LAYOUTS:
+                    continue
                 out.append((vw, stride, shared, layouts, alg, use_images, guard))
     return out
 

@@ -45,7 +45,6 @@ from repro.serve.fleet import (
     DeviceState,
     FleetConfig,
     FleetManager,
-    HealthConfig,
     ScaleEvent,
 )
 from repro.serve.incident import Incident, IncidentLog, ServiceCounters
@@ -95,7 +94,6 @@ __all__ = [
     "FreivaldsVerifier",
     "GemmCall",
     "GemmService",
-    "HealthConfig",
     "Incident",
     "IncidentLog",
     "Rung",

@@ -9,7 +9,7 @@ live scheduler (:mod:`.manager`).  See ``docs/serving.md``.
 """
 
 from repro.serve.fleet.autoscale import Autoscaler, AutoscaleConfig, ScaleEvent
-from repro.serve.fleet.health import DeviceHealth, HealthConfig
+from repro.serve.fleet.health import DeviceHealth
 from repro.serve.fleet.lifecycle import (
     LEGAL_EDGES,
     DeviceLifecycle,
@@ -23,7 +23,6 @@ __all__ = [
     "AutoscaleConfig",
     "ScaleEvent",
     "DeviceHealth",
-    "HealthConfig",
     "DeviceLifecycle",
     "DeviceState",
     "Transition",

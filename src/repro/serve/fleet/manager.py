@@ -37,9 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import errors
 from repro.serve.fleet.autoscale import Autoscaler, AutoscaleConfig, ScaleEvent
-from repro.serve.fleet.health import DeviceHealth
+from repro.serve.fleet.health import (
+    LATENCY_SLACK,
+    RECOVER_THRESHOLD,
+    SUSPECT_THRESHOLD,
+    DeviceHealth,
+)
 from repro.serve.fleet.lifecycle import DeviceLifecycle, DeviceState
+from repro.serve.service import RUNG_FAILURES
 
 __all__ = ["FleetConfig", "FleetManager"]
 
@@ -48,14 +55,13 @@ _FAILURE_WEIGHTS: Dict[str, float] = {
     "breaker_trip": 2.0,
     "corruption": 1.5,
     "canary_fail": 1.0,
-    "degraded": 1.0,  # only when the detail carries an exception name
+    "degraded": 1.0,  # only when a rung failed (a RUNG_FAILURES name)
 }
 
-#: Consecutive known-answer passes a warming device needs to serve.
-_WARM_PASSES = 2
-#: Consecutive clean probes a suspected device needs to recover (its
-#: health score must also clear ``recover_threshold``).
-_RECOVER_PASSES = 2
+#: Consecutive clean probes a parked device needs to serve: a warming
+#: device's known-answer passes, a suspected device's recovery probes
+#: (its health score must also clear RECOVER_THRESHOLD).
+_CLEAN_PROBES = 2
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,6 @@ class FleetManager:
         #: device -> lifecycle (never deleted: retirement is a state).
         self.lifecycles: Dict[str, DeviceLifecycle] = {}
         self.healths: Dict[str, DeviceHealth] = {}
-        #: device -> consecutive clean probes while warming/suspected.
-        self._probe_passes: Dict[str, int] = {}
         self.scale_events: List[ScaleEvent] = []
         self._incident_cursor = len(self.service.log)
         self._last_eval_t: Optional[float] = None
@@ -112,7 +116,7 @@ class FleetManager:
                 "Autoscale events executed, by direction.",
                 labelnames=("direction",),
             )
-            self._refresh_gauges(0.0)
+            self._refresh_gauges()
         else:
             self._state_gauge = None
             self._score_gauge = None
@@ -161,12 +165,11 @@ class FleetManager:
         if (health is not None
                 and self.lifecycles[device].state is DeviceState.SERVING):
             health.observe_dispatch(
-                ticket.completed_s or 0.0,
                 ticket.result.service_s,
                 getattr(request, "predicted_s", 0.0),
             )
 
-    def _scan_incidents(self, now_s: float) -> None:
+    def _scan_incidents(self) -> None:
         """Read new incident records once, crediting failure evidence."""
         incidents = self.service.log.since(self._incident_cursor)
         self._incident_cursor += len(incidents)
@@ -175,21 +178,22 @@ class FleetManager:
             if weight is None:
                 continue
             if incident.kind == "degraded":
-                # Count only real runtime failures (an exception name
-                # leads the detail), not routing skips like "circuit
-                # breaker open" or "deadline: ..." — those are
-                # consequences of evidence already accrued.
-                head = incident.detail.split(":", 1)[0]
-                if not head.endswith("Error"):
+                # Count only rungs that failed (the detail opens with the
+                # name of a RUNG_FAILURES exception), not routing skips
+                # like "circuit breaker open" or "deadline: ..." — those
+                # are consequences of evidence already accrued.
+                cls = getattr(errors, incident.detail.split(":", 1)[0], None)
+                if not (isinstance(cls, type)
+                        and issubclass(cls, RUNG_FAILURES)):
                     continue
             health = self.healths.get(incident.device)
             if health is not None:
-                health.observe_failure(now_s, weight)
+                health.observe_failure(weight)
 
     # -- the periodic tick ----------------------------------------------
     def tick(self, now_s: float) -> None:
         """One control-plane pass; the soak calls this after each step."""
-        self._scan_incidents(now_s)
+        self._scan_incidents()
         interval = self.config.autoscale.eval_interval_s
         if (self._last_eval_t is not None
                 and now_s - self._last_eval_t < interval):
@@ -206,7 +210,7 @@ class FleetManager:
             self._grow(now_s, depth)
         elif direction == "shrink":
             self._shrink(now_s, depth)
-        self._refresh_gauges(now_s)
+        self._refresh_gauges()
 
     # -- failure detection ----------------------------------------------
     def _check_serving(self, now_s: float) -> None:
@@ -215,16 +219,15 @@ class FleetManager:
             health = self.healths[device]
             breaker = self.service.breakers.get(device)
             score = health.score(
-                now_s, breaker.state if breaker is not None else None
+                breaker.state if breaker is not None else None
             )
-            if score >= health.config.suspect_threshold:
+            if score >= SUSPECT_THRESHOLD:
                 continue
             self.lifecycles[device].transition(
                 DeviceState.SUSPECTED, now_s,
-                f"health score {score:.3f} < "
-                f"{health.config.suspect_threshold}",
+                f"health score {score:.3f} < {SUSPECT_THRESHOLD}",
             )
-            self._probe_passes[device] = 0
+            health.probe_streak = 0
             self.service.suspend_device(
                 device, reason=f"suspected: health score {score:.3f}"
             )
@@ -240,7 +243,7 @@ class FleetManager:
         brownout-degraded device answers correctly at several times its
         predicted latency, and admitting it back on timing evidence it
         still fails would re-suspect it next evaluation — flapping by
-        another name.  Slow-but-correct probes reset the pass streak
+        another name.  Slow-but-correct probes end the device's probe streak
         without accruing failure load; their measured ratio feeds the
         latency EWMA, which is also how a recovered device's ratio
         drifts back down once the brownout window passes.
@@ -253,33 +256,26 @@ class FleetManager:
                 device, f"fleet:probe:{device}:{self._evals}"
             )
             clean = (correct and ratio is not None
-                     and ratio < health.config.latency_slack)
-            health.observe_probe(now_s, ratio, clean)
+                     and ratio < LATENCY_SLACK)
+            health.observe_probe(ratio, clean)
             if not correct:
-                self._probe_passes[device] = 0
-                health.observe_failure(now_s, 1.0)
+                health.observe_failure(1.0)
+            if health.probe_streak < _CLEAN_PROBES:
                 continue
-            if not clean:
-                self._probe_passes[device] = 0  # correct but degraded
-                continue
-            self._probe_passes[device] = self._probe_passes.get(device, 0) + 1
             if lifecycle.state is DeviceState.WARMING:
-                if self._probe_passes[device] >= _WARM_PASSES:
-                    lifecycle.transition(
-                        DeviceState.SERVING, now_s,
-                        f"{_WARM_PASSES} known-answer passes",
-                    )
-                    self.service.resume_device(device)
-                    self._admit_counter += 1
-                    self._admit_seq[device] = self._admit_counter
+                lifecycle.transition(
+                    DeviceState.SERVING, now_s,
+                    f"{_CLEAN_PROBES} known-answer passes",
+                )
+                self.service.resume_device(device)
+                self._admit_counter += 1
+                self._admit_seq[device] = self._admit_counter
             else:  # SUSPECTED
-                score = health.score(now_s)
-                if (self._probe_passes[device] >= _RECOVER_PASSES
-                        and score >= health.config.recover_threshold):
+                score = health.score()
+                if score >= RECOVER_THRESHOLD:
                     lifecycle.transition(
                         DeviceState.SERVING, now_s,
-                        f"{_RECOVER_PASSES} clean probes, "
-                        f"score {score:.3f}",
+                        f"{_CLEAN_PROBES} clean probes, score {score:.3f}",
                     )
                     self.service.resume_device(device)
                     self.service.log.record(
@@ -321,7 +317,6 @@ class FleetManager:
                 lifecycle.transition(
                     DeviceState.WARMING, now_s, "rungs built and verified"
                 )
-                self._probe_passes[device] = 0
                 added.append(device)
         if added:
             self._record_event("grow", now_s, added, before, depth)
@@ -341,7 +336,7 @@ class FleetManager:
         order = sorted(
             serving,
             key=lambda d: (
-                self.healths[d].score(now_s),
+                self.healths[d].score(),
                 -self._admit_seq.get(d, 0),
             ),
         )
@@ -406,7 +401,7 @@ class FleetManager:
             self._scale_counter.labels(direction=direction).inc()
 
     # -- telemetry / report ----------------------------------------------
-    def _refresh_gauges(self, now_s: float) -> None:
+    def _refresh_gauges(self) -> None:
         if self._state_gauge is None:
             return
         for state in DeviceState:
@@ -417,11 +412,11 @@ class FleetManager:
             breaker = self.service.breakers.get(device)
             self._score_gauge.labels(device=device).set(
                 round(health.score(
-                    now_s, breaker.state if breaker is not None else None
+                    breaker.state if breaker is not None else None
                 ), 6)
             )
 
-    def summary(self, now_s: float) -> Dict:
+    def summary(self) -> Dict:
         """The fleet section of the soak report (JSON-ready)."""
         return {
             "evaluations": self.autoscaler.evaluations,
@@ -436,7 +431,7 @@ class FleetManager:
                 device: {
                     "state": lifecycle.state.value,
                     "health_score": round(
-                        self.healths[device].score(now_s), 6
+                        self.healths[device].score(), 6
                     ),
                     "dispatches": self.healths[device].dispatches,
                     "failure_events": self.healths[device].failure_events,

@@ -72,6 +72,10 @@ __all__ = [
     "BatchingAccount", "SMALL_GEMM_DIM",
 ]
 
+#: The runtime failures a rung fails over on, feeding its device's
+#: breaker; the fleet's failure detector counts the same set.
+RUNG_FAILURES = (CLError, MeasurementTimeout)
+
 #: Problems with every dimension at or below this are "small" for the
 #: batching-throughput ledger — the size band where the paper's kernels
 #: cannot amortise launch overhead and coalescing pays off.
@@ -145,10 +149,6 @@ class ServiceConfig:
     # -- result verification ------------------------------------------
     #: Fraction of device-served responses Freivalds-checked (1.0 = all).
     verify_rate: float = 1.0
-    # -- circuit breakers ---------------------------------------------
-    breaker_failure_threshold: int = 3
-    breaker_cooldown: int = 25
-    breaker_probe_successes: int = 2
     # -- quarantine canaries ------------------------------------------
     #: Run known-answer canaries every N requests (0 disables).
     canary_interval: int = 50
@@ -337,12 +337,7 @@ class GemmService:
 
     def _ensure_breaker(self, device: str) -> None:
         if device not in self.breakers:
-            self.breakers[device] = CircuitBreaker(
-                device,
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown_ticks=self.config.breaker_cooldown,
-                probe_successes=self.config.breaker_probe_successes,
-            )
+            self.breakers[device] = CircuitBreaker(device)
 
     def _verify_rung_group(self, rungs: Sequence[Rung]) -> None:
         """Statically verify each device rung's kernel before it serves.
@@ -507,7 +502,7 @@ class GemmService:
                               alpha=call.alpha, beta=call.beta),
                 self.config.attempt_timeout_s,
             )
-        except (CLError, MeasurementTimeout) as exc:
+        except RUNG_FAILURES as exc:
             self.log.record(
                 rid, "degraded", device="fleet", rung="sharded",
                 detail=(f"{type(exc).__name__}: {exc}; falling back "
@@ -751,7 +746,7 @@ class GemmService:
                 try:
                     outs, charged, standalone = self._launch(
                         rung, members, pending, rids, batched)
-                except (CLError, MeasurementTimeout) as exc:
+                except RUNG_FAILURES as exc:
                     rung_span.set(outcome="failed", error=type(exc).__name__)
                     self._breaker_failure(rung.device, tick, rids[pending[0]],
                                           rung.name, str(exc))
@@ -759,7 +754,7 @@ class GemmService:
                     continue
                 if breaker is not None:
                     prior = breaker.state
-                    breaker.record_success(tick)
+                    breaker.record_success()
                     if (prior is BreakerState.HALF_OPEN
                             and breaker.state is BreakerState.CLOSED):
                         self.log.record(rids[pending[0]], "breaker_close",
@@ -1160,7 +1155,7 @@ class GemmService:
                                   injector=injector),
                 self.config.attempt_timeout_s,
             )
-        except (CLError, MeasurementTimeout):
+        except RUNG_FAILURES:
             return False, None
         tol = 1e-4 if self.precision == "s" else 1e-10
         correct = bool(np.all(np.isfinite(out))) and (

@@ -709,7 +709,7 @@ def run_async_soak(
     if manager is not None:
         cooldown = manager.config.autoscale.cooldown_s
         events = manager.scale_events
-        fleet = manager.summary(duration)
+        fleet = manager.summary()
         fleet.update(
             cooldown_s=cooldown,
             flap_pairs=[

@@ -32,7 +32,7 @@ import statistics
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.errors import MeasurementTimeout, TransientError
 
@@ -216,25 +216,19 @@ class Quarantine:
     """
 
     def __init__(self) -> None:
-        self._reasons: Dict[str, str] = {}
+        self._digests: Set[str] = set()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._reasons)
+        return len(self._digests)
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._reasons
+        return digest in self._digests
 
-    def demote(self, digest: str, reason: str) -> bool:
+    def demote(self, digest: str) -> bool:
         """Record a demotion; True when the digest is newly quarantined."""
         with self._lock:
-            if digest in self._reasons:
+            if digest in self._digests:
                 return False
-            self._reasons[digest] = reason
+            self._digests.add(digest)
             return True
-
-    def allows(self, digest: str) -> bool:
-        return digest not in self._reasons
-
-    def reasons(self) -> Dict[str, str]:
-        return dict(self._reasons)

@@ -508,9 +508,7 @@ class SearchEngine:
             lambda attempt: (self.verify(params, rng, attempt), ()),
             self.resilience or SINGLE_SHOT,
         )
-        self._tally(
-            outcome, reason="exhausted retries during finalist verification"
-        )
+        self._tally(outcome)
         return outcome.ok
 
     # -- batched evaluation with cache layering --------------------------
@@ -572,14 +570,12 @@ class SearchEngine:
             return False
         return outcome.failure not in ("transient", "timeout")
 
-    def _tally(self, outcome: EvalOutcome, counted: bool = True,
-               reason: Optional[str] = None) -> None:
+    def _tally(self, outcome: EvalOutcome, counted: bool = True) -> None:
         """Fold one outcome's retries, faults and failure into the stats.
 
         A stage-2 sweep point re-measures a candidate already counted, so
         it passes ``counted=False`` to leave the failure categories alone.
-        A candidate that exhausted its retry budget is demoted, under
-        ``reason`` when given.
+        A candidate that exhausted its retry budget is demoted.
         """
         stats = self.stats
         stats.retries += outcome.retries
@@ -594,15 +590,14 @@ class SearchEngine:
             name = f"failed_{'transient' if failure == 'timeout' else failure}"
             setattr(stats, name, getattr(stats, name) + 1)
         if failure in ("transient", "timeout") and self.quarantine.demote(
-            params_digest(outcome.params),
-            reason or f"exhausted retries ({failure}: {outcome.faults})",
+            params_digest(outcome.params)
         ):
             stats.quarantined += 1
 
     def _allowed(self, params: KernelParams) -> bool:
         # An empty quarantine (no fault plan demoted anything) allows
         # every candidate without hashing it.
-        return not len(self.quarantine) or self.quarantine.allows(params_digest(params))
+        return not len(self.quarantine) or params_digest(params) not in self.quarantine
 
     def _gate_batch(
         self, batch: List[KernelParams]

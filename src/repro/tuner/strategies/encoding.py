@@ -20,9 +20,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.layouts import Layout
 from repro.codegen.params import KernelParams
-from repro.codegen.space import STEP_POOLS, STRIDES, SpaceRestrictions
+from repro.codegen.space import (
+    FLAGGED_LAYOUTS,
+    STEP_POOLS,
+    STRIDES,
+    SpaceRestrictions,
+)
 from repro.devices.specs import DeviceSpec
 from repro.errors import ParameterError
 
@@ -65,10 +69,12 @@ class ParamSpace:
     """The encoded search space for one (device, precision, restrictions).
 
     Axes (in order): ``mwg nwg kwg mdimc ndimc kwi vw stride shared
-    mdima ndimb layout algorithm``.  The image/guard flags are pinned by
-    the restrictions (``forced_images`` / ``forced_guarded``) rather
-    than searched — matching the enumerator, which only spans them when
-    an ablation asks for it.
+    mdima ndimb layout algorithm``, then ``images`` and ``guard`` where
+    the restrictions allow both values of that flag.  A flag with one
+    allowed value is pinned rather than searched: a one-value axis would
+    still consume RNG draws.  A flag pinned on narrows the layouts to
+    :data:`FLAGGED_LAYOUTS`; where a flag is searched, construction
+    rejects its block-major points (they decode to ``None``).
     """
 
     def __init__(
@@ -83,11 +89,11 @@ class ParamSpace:
         r = self.restrictions
 
         staging = (0,) + r.staging_widths()
-        layouts = r.layout_options()
-        self.use_images = bool(r.forced_images)
-        self.guard_edges = bool(r.forced_guarded)
-        if self.use_images or self.guard_edges:
-            layouts = ((Layout.ROW, Layout.ROW),)
+        flags = (("images", r.image_options()), ("guard", r.guard_options()))
+        #: Flag values fixed by the restrictions (not searched).
+        self.pinned = {name: opts[0] for name, opts in flags if len(opts) == 1}
+        layouts = (FLAGGED_LAYOUTS if any(self.pinned.values())
+                   else r.layout_options())
 
         #: ``(name, value pool)`` in canonical order.  Numeric axes hold
         #: sorted ints; categorical axes hold richer objects.
@@ -99,6 +105,7 @@ class ParamSpace:
             ("ndimb", staging),
             ("layout", layouts),
             ("algorithm", tuple(r.algorithms)),
+            *((name, opts) for name, opts in flags if len(opts) > 1),
         ]
         #: Axis names considered ordinal (index distance is meaningful).
         self.numeric_axes = frozenset(STEP_POOLS) | {"mdima", "ndimb"}
@@ -114,7 +121,7 @@ class ParamSpace:
     def decode(self, indices: Sequence[int]) -> Optional[KernelParams]:
         """Indices -> validated params, or ``None`` if the point is not
         constructible / feasible / inside the restricted space."""
-        values = {}
+        values = dict(self.pinned)
         for (name, pool), i in zip(self.axes, indices):
             if not (0 <= i < len(pool)):
                 return None
@@ -133,8 +140,8 @@ class ParamSpace:
                 ndimb=values["ndimb"] if shb else 0,
                 layout_a=la, layout_b=lb,
                 algorithm=values["algorithm"],
-                use_images=self.use_images,
-                guard_edges=self.guard_edges,
+                use_images=values["images"],
+                guard_edges=values["guard"],
             )
         except ParameterError:
             return None
@@ -164,6 +171,8 @@ class ParamSpace:
             "mdima": params.mdima, "ndimb": params.ndimb,
             "layout": (params.layout_a, params.layout_b),
             "algorithm": params.algorithm,
+            "images": params.use_images,
+            "guard": params.guard_edges,
         }
         out = []
         for name, pool in self.axes:

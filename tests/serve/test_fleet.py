@@ -6,13 +6,15 @@ strong form: no two scale events of any kind ever land within one
 cooldown window, for arbitrary load-signal sequences.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clsim.faults import CANNED_PLANS, FaultInjector
+from repro.clsim.faults import CANNED_PLANS, FaultInjector, FaultPlan, FaultRule
 from repro.obs import Observability
 from repro.serve import GemmService, ServiceConfig
 from repro.serve.breaker import BreakerState
@@ -23,57 +25,73 @@ from repro.serve.fleet import (
     DeviceLifecycle,
     DeviceState,
     FleetConfig,
-    HealthConfig,
+)
+from repro.serve.fleet.health import (
+    DISPATCH_DECAY,
+    LATENCY_ALPHA,
+    LATENCY_SLACK,
+    MAX_LOAD,
+    PROBE_DECAY,
+    RECOVER_THRESHOLD,
+    SUSPECT_THRESHOLD,
 )
 from repro.serve.soak import AsyncSoakConfig, _calm_stretch, run_async_soak
 
 
 class TestHealth:
     def test_failures_accrue_and_saturate(self):
-        health = DeviceHealth("tahiti", HealthConfig(max_load=4.0))
+        health = DeviceHealth("tahiti")
         for _ in range(100):
-            health.observe_failure(0.0, 2.0)
-        assert health.phi(0.0) == pytest.approx(4.0)
+            health.observe_failure(2.0)
+        assert health.phi() == pytest.approx(MAX_LOAD)
         assert health.failure_events == 100
 
     def test_successful_dispatches_decay_the_load(self):
-        cfg = HealthConfig(dispatch_decay=0.5)
-        health = DeviceHealth("tahiti", cfg)
-        health.observe_failure(0.0, 4.0)
-        health.observe_dispatch(0.0, 1.0, 1.0)
-        health.observe_dispatch(0.0, 1.0, 1.0)
-        assert health.phi(0.0) == pytest.approx(1.0)
+        health = DeviceHealth("tahiti")
+        health.observe_failure(4.0)
+        health.observe_dispatch(1.0, 1.0)
+        health.observe_dispatch(1.0, 1.0)
+        assert health.phi() == pytest.approx(4.0 * (1 - DISPATCH_DECAY) ** 2)
 
     def test_clean_probes_decay_harder_than_dispatches(self):
-        cfg = HealthConfig(dispatch_decay=0.05, probe_decay=0.5)
-        slow = DeviceHealth("a", cfg)
-        fast = DeviceHealth("b", cfg)
-        slow.observe_failure(0.0, 4.0)
-        fast.observe_failure(0.0, 4.0)
-        slow.observe_dispatch(0.0, 1.0, 1.0)
-        fast.observe_probe(0.0, 1.0, clean=True)
-        assert fast.phi(0.0) < slow.phi(0.0)
+        slow = DeviceHealth("a")
+        fast = DeviceHealth("b")
+        slow.observe_failure(4.0)
+        fast.observe_failure(4.0)
+        slow.observe_dispatch(1.0, 1.0)
+        fast.observe_probe(1.0, clean=True)
+        assert fast.phi() < slow.phi()
 
     def test_dirty_probe_does_not_decay(self):
-        health = DeviceHealth("tahiti", HealthConfig(probe_decay=0.5))
-        health.observe_failure(0.0, 2.0)
-        health.observe_probe(0.0, 6.0, clean=False)
+        health = DeviceHealth("tahiti")
+        health.observe_failure(2.0)
+        health.observe_probe(6.0, clean=False)
         # No decay, and the slow ratio now contributes latency phi.
-        assert health.phi(0.0) > 2.0
+        assert health.phi() > 2.0
+
+    def test_probe_streak_counts_consecutive_clean_probes(self):
+        health = DeviceHealth("tahiti")
+        health.observe_probe(1.0, clean=True)
+        health.observe_probe(1.0, clean=True)
+        assert health.probe_streak == 2
+        health.observe_probe(6.0, clean=False)
+        assert health.probe_streak == 0
+        health.observe_probe(None, clean=True)
+        assert health.probe_streak == 1
 
     def test_sustained_latency_inflation_raises_phi(self):
-        health = DeviceHealth("tahiti", HealthConfig(latency_slack=2.0))
+        health = DeviceHealth("tahiti")
         for _ in range(50):
-            health.observe_dispatch(0.0, 6.0, 1.0)
-        assert health.latency_ratio == pytest.approx(6.0, rel=0.05)
-        assert health.phi(0.0) == pytest.approx(4.0, rel=0.1)
-        assert health.score(0.0) < 0.25
+            health.observe_dispatch(6.0, 1.0)
+        # The latency EWMA converges on 6; phi is what exceeds the slack.
+        assert health.phi() == pytest.approx(6.0 - LATENCY_SLACK, rel=1e-4)
+        assert health.score() < SUSPECT_THRESHOLD
 
     def test_breaker_state_contributes(self):
         health = DeviceHealth("tahiti")
-        assert health.phi(0.0, BreakerState.OPEN) == pytest.approx(4.0)
-        assert health.phi(0.0, BreakerState.HALF_OPEN) == pytest.approx(1.0)
-        assert health.score(0.0) == 1.0
+        assert health.phi(BreakerState.OPEN) == pytest.approx(4.0)
+        assert health.phi(BreakerState.HALF_OPEN) == pytest.approx(1.0)
+        assert health.score() == 1.0
 
     @pytest.mark.parametrize("bad", [
         dict(dispatch_decay=0.0), dict(dispatch_decay=1.0),
@@ -82,8 +100,22 @@ class TestHealth:
         dict(suspect_threshold=0.0),
     ])
     def test_config_validation(self, bad):
-        with pytest.raises(ValueError):
-            HealthConfig(**bad)
+        # The detector works only with fractional decays and EWMA weight
+        # and ordered hysteresis scores in (0, 1]: its constants meet
+        # that, and each ``bad`` setting breaks it.
+        def works(c):
+            return (0 < c["dispatch_decay"] < 1 and 0 < c["probe_decay"] < 1
+                    and 0 < c["latency_alpha"] <= 1
+                    and 0 < c["suspect_threshold"]
+                    <= c["recover_threshold"] <= 1)
+
+        constants = dict(
+            dispatch_decay=DISPATCH_DECAY, probe_decay=PROBE_DECAY,
+            latency_alpha=LATENCY_ALPHA, suspect_threshold=SUSPECT_THRESHOLD,
+            recover_threshold=RECOVER_THRESHOLD,
+        )
+        assert works(constants)
+        assert not works({**constants, **bad})
 
 
 class TestLifecycle:
@@ -208,6 +240,12 @@ class TestServiceMembership:
         assert "gtx680" not in service.serving_devices
 
 
+@pytest.fixture()
+def problem():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((48, 32)), rng.standard_normal((32, 40))
+
+
 class TestIncidentScan:
     def test_a_tick_visits_only_the_new_records(self, monkeypatch):
         from repro.serve.fleet import FleetManager
@@ -240,6 +278,42 @@ class TestIncidentScan:
         assert visited == [[start], [start + 1, start + 2], []]
         assert manager.healths["tahiti"].failure_events == 1
         assert manager.healths["cypress"].failure_events == 1
+
+    def test_a_watchdog_timeout_is_failure_evidence(self, problem):
+        # A rung that hangs past the watchdog fails over exactly like a
+        # launch fault: the breaker and the failure detector both count it.
+        from repro.serve.fleet import FleetManager
+        from repro.serve.sched import AsyncScheduler, TenantConfig
+
+        plan = FaultPlan(seed=1, rules=(
+            FaultRule(kind="hang", rate=1.0, hang_seconds=0.2),))
+        service = GemmService(
+            "tahiti", "d", config=ServiceConfig(attempt_timeout_s=0.02),
+            fault_injector=FaultInjector(plan),
+        )
+        manager = FleetManager(AsyncScheduler(service, [TenantConfig("t")]))
+        assert service.submit(*problem).rung == "reference"
+        degraded = service.log.by_kind("degraded")
+        assert [i.detail.split(":")[0] for i in degraded] == [
+            "MeasurementTimeout"] * 2
+        manager.tick(0.0)
+        assert manager.healths["tahiti"].failure_events == 2
+
+    def test_routing_skips_are_not_failure_evidence(self):
+        from repro.serve.fleet import FleetManager
+        from repro.serve.sched import AsyncScheduler, TenantConfig
+
+        service = GemmService(["tahiti"], precision="d")
+        manager = FleetManager(AsyncScheduler(service, [TenantConfig("t")]))
+        for detail in ("LaunchError: injected launch fault",
+                       "MeasurementTimeout: measurement exceeded the watchdog",
+                       "circuit breaker open",
+                       "deadline: predicted 1.000 ms > remaining 0.500 ms",
+                       "device lost; columns 0:8 re-partitioned",
+                       "InvalidRequestError: not a rung failure"):
+            service.log.record(1, "degraded", device="tahiti", detail=detail)
+        manager.tick(0.0)
+        assert manager.healths["tahiti"].failure_events == 2
 
 
 class TestGrow:
@@ -339,6 +413,13 @@ class TestChurnSoak:
             assert info["transitions"][0]["to"] in (
                 "provisioning", "serving"
             )
+
+    def test_device_records_are_pinned(self, report):
+        # Each device's state, health score, evidence counts and
+        # lifecycle trail, byte for byte.
+        devices = json.dumps(report.fleet["devices"], sort_keys=True)
+        assert hashlib.blake2b(devices.encode(), digest_size=8).hexdigest() \
+            == "bfcd5395849cbd19"
 
     def test_retry_hints_surface_per_tenant(self, report):
         hints = [t["retry_hints"] for t in report.per_tenant.values()]

@@ -164,12 +164,8 @@ class TestBreakers:
     @SERVE_PATHS
     def test_persistent_launch_failure_trips_the_device_breaker(
             self, problem, serve):
-        config = ServiceConfig(
-            breaker_failure_threshold=3, breaker_cooldown=5,
-            breaker_probe_successes=2,
-        )
         service = GemmService(
-            "tahiti", "d", config=config,
+            "tahiti", "d",
             fault_injector=injector(3, FaultRule(kind="launch", rate=1.0)),
         )
         a, b = problem
@@ -192,16 +188,13 @@ class TestBreakers:
 
     @SERVE_PATHS
     def test_breaker_recovers_once_the_device_heals(self, problem, serve):
-        config = ServiceConfig(
-            breaker_failure_threshold=2, breaker_cooldown=3,
-            breaker_probe_successes=2,
-        )
         service = GemmService(
-            "tahiti", "d", config=config,
+            "tahiti", "d",
             fault_injector=injector(3, FaultRule(kind="launch", rate=1.0)),
         )
         a, b = problem
-        serve(service, a, b)  # trips at the second rung failure
+        serve(service, a, b)
+        serve(service, a, b)  # trips at the third rung failure
         assert service.breakers["tahiti"].state is BreakerState.OPEN
         service.fault_injector = None  # the fault storm ends
         while service.breakers["tahiti"].state is not BreakerState.CLOSED:

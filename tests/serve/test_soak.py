@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,10 @@ from repro.serve import (
     run_async_soak,
     run_soak,
 )
+
+
+def _digest(items) -> str:
+    return hashlib.blake2b(repr(list(items)).encode(), digest_size=8).hexdigest()
 
 
 def chaos_service(seed=0, fault_seed=7, **config_kw):
@@ -35,7 +41,8 @@ def test_soak_under_chaos_returns_zero_wrong_answers():
     # The PR's acceptance criterion: a 1,000-request soak under the
     # >= 10% serve-chaos plan completes with no incorrect response —
     # every answer is checked against the host reference.
-    report = run_soak(chaos_service(), SoakConfig(requests=1000, seed=0))
+    service = chaos_service()
+    report = run_soak(service, SoakConfig(requests=1000, seed=0))
     assert report.clean, f"wrong answers: {report.failures[:5]}"
     assert report.served + report.shed == 1000
     counters = report.counters
@@ -46,6 +53,13 @@ def test_soak_under_chaos_returns_zero_wrong_answers():
     assert counters["readmitted"] > 0
     assert sum(counters["served_by_rung"].values()) == report.served
     assert report.worst_error < 1e-10
+    # The failure trail itself is pinned: which rung served each answer
+    # and every incident, in order.
+    assert counters["served_by_rung"] == {
+        "tuned": 233, "direct": 301, "reference": 466}
+    trail = [(i.kind, i.device, i.rung, i.detail) for i in service.log]
+    assert len(trail) == 1375
+    assert _digest(trail) == "9ef3ba75ef318856"
 
 
 def test_soak_without_faults_is_quiet():

@@ -66,6 +66,34 @@ class TestParamSpace:
         for v in (p.mwg, p.nwg, p.kwg, p.kwi):
             assert v & (v - 1) == 0
 
+    def test_allowed_flags_are_searched(self, tahiti):
+        # The fuzz corpus's restrictions allow both values of each flag:
+        # random draws reach all four (images, guard) pairs, and every
+        # flagged kernel keeps ROW layouts.
+        space = ParamSpace(tahiti, "d", SpaceRestrictions(
+            allow_images=True, allow_guarded=True))
+        rng = derive_rng("t", 2)
+        points = (space.decode(space.random_point(rng)) for _ in range(3000))
+        drawn = [p for p in points if p is not None]
+        assert {(p.use_images, p.guard_edges) for p in drawn} == set(
+            itertools.product((False, True), repeat=2))
+        for p in drawn:
+            if p.use_images or p.guard_edges:
+                assert (p.layout_a.value, p.layout_b.value) == ("ROW", "ROW")
+            assert space.decode(space.encode(p)) == p
+
+    @pytest.mark.parametrize("flag", ["images", "guarded"])
+    def test_forced_flag_is_pinned_with_row_layouts(self, tahiti, flag):
+        space = ParamSpace(tahiti, "d", SpaceRestrictions(
+            **{f"forced_{flag}": True}))
+        assert len(space) == len(ParamSpace(tahiti, "d"))
+        rng = derive_rng("t", 3)
+        for _ in range(20):
+            p = space.random_params(rng)
+            assert (p.use_images, p.guard_edges) == (
+                flag == "images", flag == "guarded")
+            assert (p.layout_a.value, p.layout_b.value) == ("ROW", "ROW")
+
     def test_perturb_moves_stay_in_range(self, tahiti):
         space = ParamSpace(tahiti, "s")
         rng = derive_rng("t", 1)
