@@ -14,13 +14,16 @@ rounding, not bit-for-bit, because they accumulate in different orders
   with one stacked ``np.matmul``; one un-permute through the ownership
   maps merges the result with alpha/beta.  Index-arithmetic mistakes
   anywhere in the stack produce numerically wrong output.
-* ``fast`` — whole-matrix: reads each operand as its logical ``K x X``
-  matrix and issues one BLAS-3 call.  An operand a pack kernel wrote is
-  still held as the matrix the kernel staged, so it is neither packed
-  nor unpacked on the host; other operands are reshaped (``ROW``) or
-  unpacked from their layouts.  Used for large benchmark problems where
-  the faithful path's per-k-chunk gathers, copies and small products
-  would dominate.
+* ``fast`` — whole-matrix: one BLAS-3 call over the payload.  An
+  operand a pack kernel wrote is still held as the pack's oriented,
+  unpadded source (a view: never copied, padded, packed or unpacked on
+  the host); other operands are reshaped (``ROW``) or unpacked from
+  their layouts.  The padding is zero, so the call multiplies only the
+  payload's ``M x N x K``, writes that block of C and scales the rest
+  by beta: on a padded problem the result is bit-equal to numpy's
+  ``c*beta + alpha*(opA @ opB)`` on the caller's operands.  Used for
+  large benchmark problems where the faithful path's per-k-chunk
+  gathers, copies and small products would dominate.
 
 Both are differentially tested against the gold standard, the
 executable spec (:func:`repro.spec.machine.run_kernel`), which
@@ -42,7 +45,7 @@ import numpy as np
 
 from repro.clsim.memory import Buffer
 from repro.codegen.algorithms import Algorithm
-from repro.codegen.layouts import Layout, tile_view, unpack_matrix
+from repro.codegen.layouts import Layout, pad_matrix, tile_view, unpack_matrix
 from repro.codegen.plan import KernelPlan
 from repro.errors import LaunchError
 
@@ -62,9 +65,7 @@ def _clipped_tile(
     width = -(-X // bx) * bx
     piece = flat.reshape(K, X)[kb * bk : (kb + 1) * bk]
     if piece.shape != (bk, width):
-        padded = np.zeros((bk, width), dtype=dtype)
-        padded[: piece.shape[0], :X] = piece
-        piece = padded
+        piece = pad_matrix(piece, bk, width, dtype)
     return piece.reshape(bk, width // bx, bx).transpose(1, 0, 2)
 
 
@@ -75,8 +76,8 @@ class ExecutionArrays:
     (:class:`~repro.clsim.memory.Buffer`, ``Image2D``) bound to the
     kernel.  A memory object's contents are read only when a path asks
     for them: :attr:`a`/:attr:`b` give the flat packed contents, and
-    :meth:`logical` gives the ``K x X`` matrix without building them
-    when a pack kernel's staged matrix is still held.
+    :meth:`logical` gives the operand without building them when a pack
+    kernel's payload is still held.
     """
 
     def __init__(
@@ -118,17 +119,18 @@ class ExecutionArrays:
         return _flat(self._b)
 
     def logical(self, which: str, layout: Layout, bk: int, bx: int) -> np.ndarray:
-        """Operand ``which`` ("a" or "b") as its ``K x X`` matrix.
+        """Operand ``which`` ("a" or "b") as its ``K x X`` matrix, or as
+        the top-left block of it outside which the operand is zero.
 
-        A pack kernel's held matrix when its layout and blocking match;
-        otherwise the packed contents, reshaped (``ROW``: a view) or
-        unpacked.
+        A pack kernel's held payload when its layout, blocking and
+        padded extent match; otherwise the packed contents, reshaped
+        (``ROW``: a view) or unpacked.
         """
         mem, X = (self._a, self.M) if which == "a" else (self._b, self.N)
         if isinstance(mem, Buffer):
-            staged = mem.held(layout, bk, bx)
-            if staged is not None and staged.shape == (self.K, X):
-                return staged
+            hold = mem.held(layout, bk, bx)
+            if hold is not None and hold.extent == (self.K, X):
+                return hold.payload
         flat = _flat(mem)
         if layout is Layout.ROW:
             return flat.reshape(self.K, X)
@@ -180,12 +182,15 @@ def _execute_fast(plan: KernelPlan, ar: ExecutionArrays, alpha, beta) -> None:
     p = plan.params
     at = ar.logical("a", p.layout_a, p.kwg, p.mwg)
     b = ar.logical("b", p.layout_b, p.kwg, p.nwg)
+    # Beyond a held payload the operand is zero: only the payload block
+    # of C gets a product, over the K both operands cover.
+    k = min(at.shape[0], b.shape[0])
     # The product is taken before C is scaled: a ROW operand is a view of
     # its buffer, which may be C's.
-    prod = at.T @ b
+    prod = at[:k].T @ b[:k]
     prod *= plan.dtype.type(alpha)
     ar.c *= plan.dtype.type(beta)
-    ar.c += prod
+    ar.c[: prod.shape[0], : prod.shape[1]] += prod
 
 
 class _Grid:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.layouts import Layout, pack_matrix
+from repro.codegen.layouts import Layout, pack_matrix, pad_matrix
 from repro.errors import CLError
 
-__all__ = ["MemFlags", "Buffer", "Image2D"]
+__all__ = ["MemFlags", "Hold", "Buffer", "Image2D"]
 
 
 class MemFlags(enum.Flag):
@@ -23,17 +23,38 @@ class MemFlags(enum.Flag):
     ALLOC_HOST_PTR = enum.auto()
 
 
+class Hold(NamedTuple):
+    """A pack kernel's output before it is laid out: the unpadded ``K x
+    X`` payload, a view of the pack's source oriented as the kernel reads
+    it, and the zero-padded ``extent`` it fills in ``layout`` with
+    blocking ``(block_k, block_x)``."""
+
+    payload: np.ndarray
+    layout: Layout
+    block_k: int
+    block_x: int
+    extent: Tuple[int, int]
+
+    def packed(self) -> np.ndarray:
+        """The flat block-major contents the pack kernel writes."""
+        return pack_matrix(pad_matrix(self.payload, *self.extent),
+                           self.layout, self.block_k, self.block_x)
+
+
 class Buffer:
     """A global-memory buffer object (``cl_mem`` analogue).
 
     Backed by a flat numpy array that is built on first access.  A
     size-only buffer defers its zero fill.  A buffer a pack kernel wrote
-    holds the logical ``K x X`` matrix the kernel staged, plus its
-    layout and blocking; the packed block-major contents are built from
-    it only when something reads the buffer element by element
-    (``array``, ``flat_array``, ``read``, ``write``), and the logical
-    copy is then dropped, so the flat array is the one source of truth.
-    The ``fast`` executor takes the held matrix directly (:meth:`held`).
+    keeps that kernel's :class:`Hold`: the caller's operand as an
+    oriented view, unpadded and uncopied.  The zero-padded block-major
+    contents are built from it only when something reads the buffer
+    element by element (``array``, ``flat_array``, ``read``, ``write``,
+    the ``workgroup`` executor), and the hold is then dropped, so the
+    flat array is the one source of truth.  The ``fast`` executor
+    multiplies the held payload directly (:meth:`held`).  Like a
+    ``CL_MEM_USE_HOST_PTR`` region, a pack's source must not be written
+    while a destination still holds it.
 
     Creation is accounted against the context's device global-memory
     capacity; exceeding it raises ``CLError`` the way
@@ -48,8 +69,8 @@ class Buffer:
         hostbuf: Optional[np.ndarray] = None,
         dtype=np.float32,
     ):
-        #: ``(staged, layout, block_k, block_x)`` from a pack kernel, or None.
-        self._held = None
+        #: The pack kernel's :class:`Hold` while it is not laid out, or None.
+        self._held: Optional[Hold] = None
         if hostbuf is not None:
             arr = np.ascontiguousarray(hostbuf).reshape(-1)
             if MemFlags.COPY_HOST_PTR in flags:
@@ -80,7 +101,7 @@ class Buffer:
                 self._array = np.zeros(self.size // self._dtype.itemsize,
                                        dtype=self._dtype)
             else:
-                self._array = pack_matrix(*self._held).view(self._dtype)
+                self._array = self._held.packed().view(self._dtype)
                 self._held = None
         return self._array
 
@@ -88,30 +109,30 @@ class Buffer:
     def dtype(self) -> np.dtype:
         return self._dtype
 
-    def hold(self, staged: np.ndarray, layout: Layout, block_k: int,
-             block_x: int) -> None:
-        """Store a pack kernel's output: the logical matrix ``staged``,
-        to be packed in ``layout`` with blocking ``(block_k, block_x)``.
+    def hold(self, hold: Hold) -> None:
+        """Store a pack kernel's output without laying it out.
 
         Contents that already exist (a host pointer, an earlier read)
         are overwritten in place at once; so is a mis-sized output,
         which fails there as an eager write would.
         """
-        if self._array is None and staged.nbytes == self.size:
-            self._held = (staged, layout, block_k, block_x)
+        rows, cols = hold.extent
+        if self._array is None and rows * cols * hold.payload.itemsize == self.size:
+            self._held = hold
         else:
-            self.array[:] = pack_matrix(staged, layout, block_k,
-                                        block_x).view(self._dtype)
+            self.array[:] = hold.packed().view(self._dtype)
 
     def held(self, layout: Layout, block_k: int,
-             block_x: int) -> Optional[np.ndarray]:
-        """The logical matrix a pack kernel left here, if it is still
-        unpacked, was packed in ``layout`` with blocking ``(block_k,
+             block_x: int) -> Optional[Hold]:
+        """The :class:`Hold` a pack kernel left here, if it is still not
+        laid out, was packed in ``layout`` with blocking ``(block_k,
         block_x)``, and has this buffer's dtype; otherwise None."""
-        if (self._held is not None
-                and self._held[1:] == (layout, block_k, block_x)
-                and self._held[0].dtype == self._dtype):
-            return self._held[0]
+        hold = self._held
+        if (hold is not None
+                and (hold.layout, hold.block_k, hold.block_x)
+                == (layout, block_k, block_x)
+                and hold.payload.dtype == self._dtype):
+            return hold
         return None
 
     def read(self) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.clsim.context import Context
 from repro.clsim.device import Device
 from repro.clsim.executor import ExecutionArrays, execute_plan
 from repro.clsim.kernel import Kernel
-from repro.clsim.memory import Buffer
+from repro.clsim.memory import Buffer, Hold
 from repro.errors import CLError, LaunchError
 from repro.perfmodel.model import (
     check_execution_quirks,
@@ -258,13 +258,15 @@ class CommandQueue:
         )
         mode = self._resolve_mode(src_rows, src_cols, 1)
         if mode is not ExecutionMode.TIMING_ONLY:
-            # The destination keeps the logical matrix; its packed
-            # contents are built only if something reads them.
-            staged = plan.stage(
+            # The destination keeps the oriented source, unpadded and
+            # uncopied; its packed contents are built only if something
+            # reads them.
+            payload = plan.orient(
                 src.array.view(plan.dtype)[: src_rows * src_cols],
                 src_rows, src_cols, k_padded, x_padded,
             )
-            dst.hold(staged, plan.layout, plan.block_k, plan.block_x)
+            dst.hold(Hold(payload, plan.layout, plan.block_k, plan.block_x,
+                          (k_padded, x_padded)))
         start, end = self._advance(seconds, engine="compute", wait_for=wait_for)
         return Event("pack_kernel", EventProfile(start, start, start, end))
 

@@ -27,7 +27,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["Layout", "pack_matrix", "unpack_matrix", "element_offsets", "tile_view"]
+__all__ = ["Layout", "pad_matrix", "pack_matrix", "unpack_matrix", "element_offsets", "tile_view"]
 
 
 class Layout(enum.Enum):
@@ -56,6 +56,18 @@ def _check_blocking(K: int, M: int, bk: int, bm: int, layout: Layout) -> None:
         raise ValueError(f"{layout.value}: M={M} not a multiple of block width {bm}")
     if layout is Layout.RBL and K % bk != 0:
         raise ValueError(f"RBL: K={K} not a multiple of block height {bk}")
+
+
+def pad_matrix(mat: np.ndarray, rows: int, cols: int, dtype=None) -> np.ndarray:
+    """A fresh ``rows x cols`` array holding ``mat`` (cast to ``dtype``,
+    default ``mat``'s) in its top-left corner and zeros elsewhere: the
+    zero padding of Section IV-B."""
+    if mat.shape[0] > rows or mat.shape[1] > cols:
+        raise ValueError(
+            f"matrix {mat.shape} larger than padded target ({rows}, {cols})")
+    out = np.zeros((rows, cols), dtype=mat.dtype if dtype is None else dtype)
+    out[: mat.shape[0], : mat.shape[1]] = mat
+    return out
 
 
 def pack_matrix(mat: np.ndarray, layout: Layout, bk: int, bm: int) -> np.ndarray:

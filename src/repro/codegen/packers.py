@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.codegen.emitter import META_PREFIX, GENERATOR_VERSION
-from repro.codegen.layouts import Layout
+from repro.codegen.layouts import Layout, pack_matrix, pad_matrix
 from repro.errors import BuildError, LaunchError, ParameterError
 
 __all__ = ["PackPlan", "emit_pack_source", "parse_pack_meta", "PACK_KERNEL_NAME"]
@@ -103,7 +103,7 @@ class PackPlan:
             )
 
     # -- functional execution ----------------------------------------------
-    def stage(
+    def orient(
         self,
         src: np.ndarray,
         rows: int,
@@ -111,8 +111,9 @@ class PackPlan:
         k_padded: int,
         x_padded: int,
     ) -> np.ndarray:
-        """Orient and zero-pad the source: the ``k_padded x x_padded``
-        logical matrix the pack writes, before block-major ordering."""
+        """The ``K x X`` payload the pack writes into the top-left corner
+        of its ``k_padded x x_padded`` destination: a view of the
+        ``rows x cols`` source, transposed when the plan says so."""
         self.check_destination(k_padded, x_padded)
         mat = src.reshape(rows, cols)
         kx = mat.T if self.transpose else mat
@@ -122,9 +123,7 @@ class PackPlan:
                 f"source {kx.shape} larger than packed destination "
                 f"({k_padded}, {x_padded})"
             )
-        staging = np.zeros((k_padded, x_padded), dtype=self.dtype)
-        staging[:K, :X] = kx
-        return staging
+        return kx
 
     def execute(
         self,
@@ -135,10 +134,9 @@ class PackPlan:
         x_padded: int,
     ) -> np.ndarray:
         """Run the pack: returns the flat packed destination contents."""
-        from repro.codegen.layouts import pack_matrix
-
-        staged = self.stage(src, rows, cols, k_padded, x_padded)
-        return pack_matrix(staged, self.layout, self.block_k, self.block_x)
+        kx = self.orient(src, rows, cols, k_padded, x_padded)
+        return pack_matrix(pad_matrix(kx, k_padded, x_padded, self.dtype),
+                           self.layout, self.block_k, self.block_x)
 
 
 def _offset_expr(layout: Layout, bk: int, bx: int) -> str:

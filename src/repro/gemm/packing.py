@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.codegen.layouts import Layout, pack_matrix
+from repro.codegen.layouts import Layout, pack_matrix, pad_matrix
 from repro.codegen.params import KernelParams
 
 __all__ = ["pad_to_multiple", "required_padding", "PackedOperand", "pack_operand",
@@ -84,14 +84,8 @@ def pack_operand(
     packed buffer of shape ``k_padded * x_padded`` in ``layout``.
     """
     kx = _as_k_by_x(np.asarray(mat), transpose)
-    K, X = kx.shape
-    if K > k_padded or X > x_padded:
-        raise ValueError(
-            f"operand {kx.shape} larger than padded target ({k_padded}, {x_padded})"
-        )
-    staging = np.zeros((k_padded, x_padded), dtype=dtype)
-    staging[:K, :X] = kx
-    flat = pack_matrix(staging, layout, block_k, block_x)
+    flat = pack_matrix(pad_matrix(kx, k_padded, x_padded, dtype), layout,
+                       block_k, block_x)
     return PackedOperand(
         flat=flat,
         layout=layout,
@@ -105,13 +99,12 @@ def prepare_c(
     c: np.ndarray | None, M: int, N: int, Mp: int, Np: int, dtype: np.dtype
 ) -> np.ndarray:
     """Zero-padded row-major C working array (Mp x Np)."""
-    out = np.zeros((Mp, Np), dtype=dtype)
-    if c is not None:
-        c = np.asarray(c)
-        if c.shape != (M, N):
-            raise ValueError(f"C has shape {c.shape}, expected ({M}, {N})")
-        out[:M, :N] = c
-    return out
+    if c is None:
+        return np.zeros((Mp, Np), dtype=dtype)
+    c = np.asarray(c)
+    if c.shape != (M, N):
+        raise ValueError(f"C has shape {c.shape}, expected ({M}, {N})")
+    return pad_matrix(c, Mp, Np, dtype)
 
 
 def crop_c(c_padded: np.ndarray, M: int, N: int) -> np.ndarray:

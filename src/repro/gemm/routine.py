@@ -26,7 +26,7 @@ import numpy as np
 import repro.clsim as cl
 from repro.clsim.queue import ExecutionMode
 from repro.codegen.emitter import emit_kernel_source
-from repro.codegen.layouts import Layout
+from repro.codegen.layouts import Layout, pad_matrix
 from repro.codegen.packers import PackPlan, emit_pack_source
 from repro.codegen.params import KernelParams
 from repro.devices.specs import DeviceSpec
@@ -299,8 +299,7 @@ class GemmRoutine:
                 seconds = 0.0
             else:
                 height, width = k_padded, x_padded
-                staged = np.zeros((height, width), dtype=self.dtype)
-                staged[: kx.shape[0], : kx.shape[1]] = kx
+                staged = pad_matrix(kx, height, width)
                 seconds = estimate_pack_time(
                     self.device.spec, float(kx.nbytes),
                     float(staged.nbytes), transpose=transpose,
